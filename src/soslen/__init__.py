@@ -50,9 +50,8 @@ from .linalg import (
     kernel_basis_rational,
     rank_mod_p,
     rank_rational,
-    rank_rational_via_primes,
 )
-from .ring import QQ, Form, Point, PrimeDomain, mono_rank, mono_unrank, monomials
+from .ring import Form, Point, mono_rank, mono_unrank, monomials
 from .witness import (
     GramTensor,
     LengthCertificate,

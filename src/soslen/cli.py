@@ -33,8 +33,8 @@ from .generic import (
     run_jobs,
     typical_length,
 )
-from .linalg import P1, P2
-from .ring import QQ, Form, form_to_text
+from .linalg import P1, P2, _validate_modulus
+from .ring import Form, form_to_text
 from .witness import (
     build_witness,
     gram_equivalent,
@@ -113,8 +113,24 @@ def _resolve_seed(raw) -> int:
     return int(raw)
 
 
+def _check_common_flags(d: dict) -> None:
+    """Reject out-of-range shared flags before any computation starts."""
+    if "prime" in d:
+        _validate_modulus(d["prime"])
+        _validate_modulus(d["prime2"])
+        if d["prime"] == d["prime2"]:
+            raise ValueError(
+                f"--prime and --prime2 must differ (both are {d['prime']}); "
+                "the two-prime agreement check needs two distinct primes"
+            )
+    for flag in ("trials", "parallelism"):
+        if d.get(flag) is not None and d[flag] < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {d[flag]}")
+
+
 def _config_from_args(args) -> RunConfig:
     d = vars(args)
+    _check_common_flags(d)
     params = {k: v for k, v in sorted(d.items()) if k not in _COMMON_ARGS}
     return RunConfig(
         command=args.command,
@@ -357,7 +373,7 @@ def cmd_witness(cfg: RunConfig):
     summary = (
         f"witness n={n} d={d} s={cert.s}: length={cert.length} "
         f"injectivity_rank={cert.injectivity_rank} primes={primes} -> {out_path}\n"
-        f"witness form: {form_to_text(Form.from_coeffs(n, 2 * d, cert.witness, QQ))}\n"
+        f"witness form: {form_to_text(Form.from_coeffs(n, 2 * d, cert.witness))}\n"
     )
     return summary, EXIT_OK, {out_path: content}
 
@@ -398,9 +414,10 @@ def _cache_lookup(path: str, key: str) -> dict | None:
         return None
     hit = None
     for line in p.read_text().splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            continue  # blank, or torn by a crash mid-append: never a hit
         if rec.get("key") == key:
             hit = rec
     return hit
@@ -509,7 +526,7 @@ def main(argv=None) -> int:
             )
         sys.stdout.write(output)
         return code
-    except (GuardError, ValueError) as exc:
+    except (GuardError, ValueError, OSError) as exc:
         print(f"soslen: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CertificationError, GenericityError) as exc:

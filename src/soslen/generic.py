@@ -136,31 +136,18 @@ def _raw_points(n: int, s: int, bound: int, rng: random.Random) -> list[tuple[in
 def _eval_matrix_mod_p(points, n: int, e: int, p: int):
     """s x N_{n,e} matrix of monomial values at the points, reduced mod p."""
     monos = monomials(n, e)
-    if p * p < 2**63:
-        E = np.array(monos, dtype=np.int64)
-        rows = np.empty((len(points), len(monos)), dtype=np.int64)
-        for i, coords in enumerate(points):
-            pw = np.array(
-                [[pow(int(x), k, p) for k in range(e + 1)] for x in coords],
-                dtype=np.int64,
-            )
-            vals = np.ones(len(monos), dtype=np.int64)
-            for v in range(n):
-                vals = vals * pw[v, E[:, v]] % p
-            rows[i] = vals
-        return rows
-    out = []
-    for coords in points:
-        pw = [[pow(int(x), k, p) for k in range(e + 1)] for x in coords]
-        row = []
-        for expo in monos:
-            val = 1
-            for v, a in enumerate(expo):
-                if a:
-                    val = val * pw[v][a] % p
-            row.append(val)
-        out.append(row)
-    return out
+    E = np.array(monos, dtype=np.int64)
+    rows = np.empty((len(points), len(monos)), dtype=np.int64)
+    for i, coords in enumerate(points):
+        pw = np.array(
+            [[pow(int(x), k, p) for k in range(e + 1)] for x in coords],
+            dtype=np.int64,
+        )
+        vals = np.ones(len(monos), dtype=np.int64)
+        for v in range(n):
+            vals = vals * pw[v, E[:, v]] % p
+        rows[i] = vals
+    return rows
 
 
 def _gate_ok(points, n: int, d: int, p: int) -> bool:
@@ -250,33 +237,19 @@ def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
     N_d = dim_forms(n, d)
     N_2d = dim_forms(n, 2 * d)
     T = product_index_table(n, d, d)
-    if prime * prime < 2**63:
-        vecs = np.asarray(
-            [[int(x) % prime for x in v] for v in vectors], dtype=np.int64
-        ).reshape(len(vectors), N_d)
-        b = vecs.shape[0]
-        Ta = np.asarray(T, dtype=np.int64)
-        rows = np.zeros((b * (b + 1) // 2, N_2d), dtype=np.int64)
-        k = 0
-        for i in range(b):
-            for j in range(i, b):
-                outer = vecs[i][:, None] * vecs[j][None, :] % prime
-                np.add.at(rows[k], Ta.ravel(), outer.ravel())
-                k += 1
-        rows %= prime
-        return rank_mod_p(PrimeMatrix(rows, prime, cols=N_2d))
-    vecs = [[int(x) % prime for x in v] for v in vectors]
-    rows = []
-    for i in range(len(vecs)):
-        for j in range(i, len(vecs)):
-            row = [0] * N_2d
-            for a, ca in enumerate(vecs[i]):
-                if ca:
-                    ti = T[a]
-                    for bidx, cb in enumerate(vecs[j]):
-                        if cb:
-                            row[ti[bidx]] = (row[ti[bidx]] + ca * cb) % prime
-            rows.append(row)
+    vecs = np.asarray(
+        [[int(x) % prime for x in v] for v in vectors], dtype=np.int64
+    ).reshape(len(vectors), N_d)
+    b = vecs.shape[0]
+    Ta = np.asarray(T, dtype=np.int64)
+    rows = np.zeros((b * (b + 1) // 2, N_2d), dtype=np.int64)
+    k = 0
+    for i in range(b):
+        for j in range(i, b):
+            outer = vecs[i][:, None] * vecs[j][None, :] % prime
+            np.add.at(rows[k], Ta.ravel(), outer.ravel())
+            k += 1
+    rows %= prime
     return rank_mod_p(PrimeMatrix(rows, prime, cols=N_2d))
 
 

@@ -1,10 +1,8 @@
 """Dense exact linear algebra: rank/kernel over prime fields and the rationals.
 
-The prime-field kernels are the performance core of the package.  For
-moduli below 2^31.5 the arithmetic stays inside int64 (products of two
-residues cannot overflow), so eliminations run as vectorized numpy sweeps;
-larger moduli fall back to a plain big-integer implementation that is only
-suitable for small matrices.
+The prime-field kernels are the performance core of the package.  Moduli
+are limited to primes below 2^31.5, so products of two residues cannot
+overflow int64 and every elimination runs as one vectorized numpy sweep.
 
 Rational elimination is fraction-free (integer cross-multiplication with
 per-row content extraction) and is used on the certificate path where
@@ -14,7 +12,6 @@ matrices stay small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,8 +29,6 @@ __all__ = [
     "RationalMatrix",
     "rank_rational",
     "kernel_basis_rational",
-    "RankBound",
-    "rank_rational_via_primes",
 ]
 
 P1 = 2147483647  # 2^31 - 1
@@ -73,20 +68,23 @@ def is_probable_prime(m: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _validate_modulus(p: int) -> None:
-    if not 2 <= p < 2**62:
-        raise ValueError(f"prime modulus must satisfy 2 <= p < 2^62, got {p}")
+    """Reject anything but a prime in [2, 3037000499].
+
+    The bound keeps every product of two residues inside int64; it is the
+    only prime range the package supports.
+    """
+    if not 2 <= p <= _INT64_SAFE_PRIME:
+        raise ValueError(
+            f"prime modulus must satisfy 2 <= p <= {_INT64_SAFE_PRIME}, got {p}"
+        )
     if not is_probable_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
 
 class PrimeMatrix:
-    """Dense matrix over F_p with entries reduced to [0, p).
+    """Dense matrix over F_p, held as an int64 array of residues in [0, p)."""
 
-    Stores an int64 numpy array when p is small enough for int64-safe
-    products, otherwise nested tuples of Python integers.
-    """
-
-    __slots__ = ("p", "shape", "arr", "rows_big")
+    __slots__ = ("p", "shape", "arr")
 
     def __init__(self, rows, p: int, cols: int | None = None):
         _validate_modulus(p)
@@ -94,36 +92,28 @@ class PrimeMatrix:
         if isinstance(rows, np.ndarray):
             if rows.ndim != 2:
                 raise ValueError("expected a 2-d array")
-            self.shape = rows.shape
-            if p <= _INT64_SAFE_PRIME:
-                self.arr = rows.astype(np.int64) % p
-                self.rows_big = None
-            else:
-                self.arr = None
-                self.rows_big = tuple(tuple(int(x) % p for x in row) for row in rows)
+            self.arr = rows.astype(np.int64) % p
         else:
-            reduced = tuple(tuple(int(x) % p for x in row) for row in rows)
+            reduced = [[int(x) % p for x in row] for row in rows]
             ncols = len(reduced[0]) if reduced else cols
             if ncols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             if any(len(row) != ncols for row in reduced):
                 raise ValueError("ragged rows")
-            self.shape = (len(reduced), ncols)
-            if p <= _INT64_SAFE_PRIME:
-                self.arr = np.array(reduced, dtype=np.int64).reshape(self.shape)
-                self.rows_big = None
-            else:
-                self.arr = None
-                self.rows_big = reduced
-
-    @property
-    def uses_int64(self) -> bool:
-        return self.arr is not None
+            self.arr = np.array(reduced, dtype=np.int64).reshape(len(reduced), ncols)
+        self.shape = self.arr.shape
 
 
-def _rank_int64(A: np.ndarray, p: int) -> int:
-    """In-place elimination rank; pivot = first nonzero in the column."""
+def _eliminate(A: np.ndarray, p: int, reduced: bool) -> list[int]:
+    """In-place elimination over F_p; returns the pivot columns.
+
+    The pivot is the first nonzero entry of the column at or below the
+    current row.  With ``reduced`` every other row is cleared in the pivot
+    column, leaving A in reduced row echelon form; without it only the rows
+    below the pivot are, which is all the rank needs.
+    """
     m, n = A.shape
+    pivots = []
     r = 0
     for c in range(n):
         nz = np.nonzero(A[r:, c])[0]
@@ -134,134 +124,44 @@ def _rank_int64(A: np.ndarray, p: int) -> int:
             A[[r, i]] = A[[i, r]]
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = (A[r, c:] * inv) % p
-        f = A[r + 1 :, c]
-        if f.size:
-            A[r + 1 :, c:] = (A[r + 1 :, c:] - f[:, None] * A[r, c:][None, :]) % p
+        if reduced:
+            f = A[:, c].copy()
+            f[r] = 0
+            rows = np.nonzero(f)[0]
+            if rows.size:
+                A[rows, c:] = (A[rows, c:] - f[rows, None] * A[r, c:][None, :]) % p
+        else:
+            f = A[r + 1 :, c]
+            if f.size:
+                A[r + 1 :, c:] = (A[r + 1 :, c:] - f[:, None] * A[r, c:][None, :]) % p
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return r
-
-
-def _rank_pylist(rows, p: int) -> int:
-    rows = [list(row) for row in rows]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return pivots
 
 
 def rank_mod_p(M: PrimeMatrix) -> int:
     """Exact rank over F_p.  Deterministic: same entries give the same sweep."""
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        return 0
-    if M.uses_int64:
-        return _rank_int64(M.arr.copy(), M.p)
-    return _rank_pylist(M.rows_big, M.p)
-
-
-def _rref_int64(A: np.ndarray, p: int):
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + nz[0]
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        f = A[:, c].copy()
-        f[r] = 0
-        rows = np.nonzero(f)[0]
-        if rows.size:
-            A[rows, c:] = (A[rows, c:] - f[rows, None] * A[r, c:][None, :]) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return A, pivots
-
-
-def _rref_pylist(rows, p: int):
-    rows = [list(row) for row in rows]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    return len(_eliminate(M.arr.copy(), M.p, reduced=False))
 
 
 def rref_mod_p(M: PrimeMatrix):
     """Reduced row echelon form and pivot column list."""
-    if M.shape[0] == 0:
-        return (np.zeros(M.shape, dtype=np.int64) if M.uses_int64 else []), []
-    if M.uses_int64:
-        return _rref_int64(M.arr.copy(), M.p)
-    return _rref_pylist(M.rows_big, M.p)
+    A = M.arr.copy()
+    return A, _eliminate(A, M.p, reduced=True)
 
 
-def kernel_basis_mod_p(M: PrimeMatrix):
-    """Basis of the right kernel over F_p, one row per basis vector.
-
-    Returns an int64 array of shape (cols - rank, cols) on the fast path,
-    a list of lists otherwise.
-    """
-    m, n = M.shape
-    if m == 0:
-        basis = np.eye(n, dtype=np.int64) if M.uses_int64 else [
-            [1 if j == i else 0 for j in range(n)] for i in range(n)
-        ]
-        return basis
+def kernel_basis_mod_p(M: PrimeMatrix) -> np.ndarray:
+    """Basis of the right kernel over F_p: an int64 array of shape
+    (cols - rank, cols), one row per basis vector."""
+    n = M.shape[1]
     R, pivots = rref_mod_p(M)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    p = M.p
-    if M.uses_int64:
-        basis = np.zeros((len(free), n), dtype=np.int64)
-        for k, fc in enumerate(free):
-            basis[k, fc] = 1
-            for i, pc in enumerate(pivots):
-                basis[k, pc] = (-int(R[i, fc])) % p
-        return basis
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-R[i][fc]) % p
-        basis.append(v)
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots), free]).T % M.p
     return basis
 
 
@@ -369,40 +269,3 @@ def kernel_basis_rational(M: RationalMatrix) -> list[list[int]]:
             v[pc] = -acc / ech[i][pc]
         basis.append(_normalize_kernel_vector(v))
     return basis
-
-
-@dataclass(frozen=True)
-class RankBound:
-    """A certified lower bound for the rational rank obtained mod p.
-
-    The rank mod p of a reduced matrix never exceeds the rational rank, so
-    ``value`` is always a true lower bound; it is claimed exact only when
-    it hits the structural cap min(rows, cols).
-    """
-
-    value: int
-    certified_exact: bool
-    primes_used: tuple[int, ...]
-
-
-def rank_rational_via_primes(M: RationalMatrix, primes) -> RankBound:
-    """Max of rank_mod_p over the given primes, as a one-sided rank bound.
-
-    Primes dividing some denominator of M are skipped (the reduction is
-    undefined there); at least one prime must survive.
-    """
-    best = 0
-    used = []
-    for p in primes:
-        try:
-            reduced = [
-                [x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                for row in M.rows
-            ]
-        except ValueError:
-            continue  # denominator divisible by p: try the next prime
-        used.append(p)
-        best = max(best, rank_mod_p(PrimeMatrix(reduced, p, cols=M.shape[1])))
-    if not used:
-        raise ValueError("every prime divides some denominator of the matrix")
-    return RankBound(best, best == min(M.shape), tuple(used))

@@ -2,8 +2,7 @@
 
 Monomials are indexed in graded-lexicographic order with x1 > x2 > ... > xn;
 within one total degree that is plain descending lex on exponent vectors.
-Forms are dense coefficient vectors over a pluggable coefficient domain,
-either a prime field or the exact rationals.
+Forms are dense coefficient vectors of exact rationals.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ __all__ = [
     "monomials",
     "mono_rank",
     "mono_unrank",
-    "PrimeDomain",
-    "RationalDomain",
-    "QQ",
     "Point",
     "Form",
     "multiply",
@@ -97,92 +93,6 @@ def product_index_table(n: int, e1: int, e2: int) -> tuple[tuple[int, ...], ...]
     )
 
 
-class PrimeDomain:
-    """Field of integers mod a prime p, elements held as residues in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if p < 2:
-            raise ValueError(f"prime modulus must be >= 2, got {p}")
-        self.p = p
-
-    zero = 0
-    one = 1
-
-    def convert(self, x):
-        """Coerce an int or Fraction into the field.
-
-        Fractions need a denominator coprime to p; otherwise ValueError.
-        """
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ValueError(f"denominator of {x} is divisible by p={self.p}")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeDomain) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeDomain", self.p))
-
-    def __repr__(self):
-        return f"PrimeDomain({self.p})"
-
-
-class RationalDomain:
-    """Exact rational numbers (arbitrary-precision fractions)."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def convert(self, x):
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalDomain)
-
-    def __hash__(self):
-        return hash("RationalDomain")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalDomain()
-
-
 @dataclass(frozen=True)
 class Point:
     """A projective point, stored through one choice of coordinates."""
@@ -201,7 +111,7 @@ class Point:
 
 @dataclass(frozen=True)
 class Form:
-    """A homogeneous polynomial as a dense coefficient vector.
+    """A homogeneous polynomial with rational coefficients, stored densely.
 
     coeffs[i] is the coefficient of the i-th degree-`degree` monomial in
     index order; the length is always dim_forms(n, degree).
@@ -210,7 +120,6 @@ class Form:
     n: int
     degree: int
     coeffs: tuple
-    domain: object
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -222,51 +131,41 @@ class Form:
             )
 
     @classmethod
-    def zero(cls, n, degree, domain=QQ):
-        return cls(n, degree, (domain.zero,) * dim_forms(n, degree), domain)
+    def zero(cls, n, degree):
+        return cls(n, degree, (Fraction(0),) * dim_forms(n, degree))
 
     @classmethod
-    def from_coeffs(cls, n, degree, coeffs, domain=QQ):
-        return cls(n, degree, tuple(domain.convert(c) for c in coeffs), domain)
+    def from_coeffs(cls, n, degree, coeffs):
+        return cls(n, degree, tuple(Fraction(c) for c in coeffs))
 
     @classmethod
-    def from_terms(cls, n, degree, terms, domain=QQ):
+    def from_terms(cls, n, degree, terms):
         """Build from {exponent tuple: coefficient}."""
-        coeffs = [domain.zero] * dim_forms(n, degree)
+        coeffs = [Fraction(0)] * dim_forms(n, degree)
         for expo, c in terms.items():
             if sum(expo) != degree or len(expo) != n:
                 raise ValueError(f"term {expo} does not have degree {degree} in {n} vars")
-            idx = mono_rank(expo)
-            coeffs[idx] = domain.add(coeffs[idx], domain.convert(c))
-        return cls(n, degree, tuple(coeffs), domain)
+            coeffs[mono_rank(expo)] += Fraction(c)
+        return cls(n, degree, tuple(coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == self.domain.zero for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other: "Form") -> "Form":
         self._check_compatible(other, same_degree=True)
-        add = self.domain.add
         return Form(
-            self.n,
-            self.degree,
-            tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-            self.domain,
+            self.n, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "Form") -> "Form":
         self._check_compatible(other, same_degree=True)
-        sub = self.domain.sub
         return Form(
-            self.n,
-            self.degree,
-            tuple(sub(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-            self.domain,
+            self.n, self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def scale(self, c) -> "Form":
-        c = self.domain.convert(c)
-        mul = self.domain.mul
-        return Form(self.n, self.degree, tuple(mul(c, a) for a in self.coeffs), self.domain)
+        c = Fraction(c)
+        return Form(self.n, self.degree, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "Form") -> "Form":
         return multiply(self, other)
@@ -274,38 +173,28 @@ class Form:
     def evaluate(self, point: Point):
         return evaluate(self, point)
 
-    def reduce_mod(self, p: int) -> "Form":
-        """Image of a rational form in the prime field F_p."""
-        gf = PrimeDomain(p)
-        return Form(self.n, self.degree, tuple(gf.convert(c) for c in self.coeffs), gf)
-
     def _check_compatible(self, other: "Form", same_degree: bool = False):
         if not isinstance(other, Form):
             raise ValueError(f"expected a Form, got {type(other).__name__}")
         if other.n != self.n:
             raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
-        if other.domain != self.domain:
-            raise ValueError(f"coefficient domains differ: {self.domain} vs {other.domain}")
         if same_degree and other.degree != self.degree:
             raise ValueError(f"degrees differ: {self.degree} vs {other.degree}")
 
 
 def multiply(f: Form, g: Form) -> Form:
-    """Exact product of two forms over the same domain."""
+    """Exact product of two forms."""
     f._check_compatible(g)
-    dom = f.domain
     table = product_index_table(f.n, f.degree, g.degree)
-    out = [dom.zero] * dim_forms(f.n, f.degree + g.degree)
+    out = [Fraction(0)] * dim_forms(f.n, f.degree + g.degree)
     for i, ci in enumerate(f.coeffs):
-        if ci == dom.zero:
+        if not ci:
             continue
         row = table[i]
         for j, cj in enumerate(g.coeffs):
-            if cj == dom.zero:
-                continue
-            k = row[j]
-            out[k] = dom.add(out[k], dom.mul(ci, cj))
-    return Form(f.n, f.degree + g.degree, tuple(out), dom)
+            if cj:
+                out[row[j]] += ci * cj
+    return Form(f.n, f.degree + g.degree, tuple(out))
 
 
 def evaluate(f: Form, point: Point):
@@ -316,24 +205,23 @@ def evaluate(f: Form, point: Point):
     """
     if point.n != f.n:
         raise ValueError(f"point has {point.n} coordinates, form has {f.n} variables")
-    dom = f.domain
-    coords = [dom.convert(c) for c in point.coords]
     # powers[v][k] = coords[v] ** k
     powers = []
-    for x in coords:
-        row = [dom.one]
+    for x in point.coords:
+        x = Fraction(x)
+        row = [Fraction(1)]
         for _ in range(f.degree):
-            row.append(dom.mul(row[-1], x))
+            row.append(row[-1] * x)
         powers.append(row)
-    acc = dom.zero
+    acc = Fraction(0)
     for c, expo in zip(f.coeffs, monomials(f.n, f.degree)):
-        if c == dom.zero:
+        if not c:
             continue
         term = c
         for v, a in enumerate(expo):
             if a:
-                term = dom.mul(term, powers[v][a])
-        acc = dom.add(acc, term)
+                term *= powers[v][a]
+        acc += term
     return acc
 
 
@@ -347,7 +235,7 @@ def form_to_text(f: Form) -> str:
     """Render as "c * x1^a1 ... xn^an + ..." with exact "p/q" coefficients."""
     terms = []
     for c, expo in zip(f.coeffs, monomials(f.n, f.degree)):
-        if c == f.domain.zero:
+        if not c:
             continue
         mono = " ".join(f"x{v + 1}^{a}" for v, a in enumerate(expo))
         terms.append(f"{_coeff_to_text(c)} * {mono}")

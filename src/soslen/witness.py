@@ -30,7 +30,7 @@ from .linalg import (
     kernel_basis_rational,
     rank_rational,
 )
-from .ring import QQ, Form, Point, monomials, product_index_table
+from .ring import Form, Point, monomials, product_index_table
 
 __all__ = [
     "COORD_BOUND",
@@ -70,9 +70,9 @@ class SosRepresentation:
             raise ValueError("need at least one summand")
         n, d = self.summands[0].n, self.summands[0].degree
         for q in self.summands:
-            if q.n != n or q.degree != d or q.domain != QQ:
-                raise ValueError("summands must be rational forms of one (n, degree)")
-        total = Form.zero(n, 2 * d, QQ)
+            if q.n != n or q.degree != d:
+                raise ValueError("summands must be forms of one (n, degree)")
+        total = Form.zero(n, 2 * d)
         for q in self.summands:
             total = total + q * q
         if total.coeffs != self.target.coeffs or self.target.degree != 2 * d:
@@ -82,7 +82,7 @@ class SosRepresentation:
     def from_summands(cls, summands) -> "SosRepresentation":
         summands = tuple(summands)
         n, d = summands[0].n, summands[0].degree
-        total = Form.zero(n, 2 * d, QQ)
+        total = Form.zero(n, 2 * d)
         for q in summands:
             total = total + q * q
         return cls(summands=summands, target=total)
@@ -324,8 +324,8 @@ def build_witness(
 
 def basis_representation(cert: LengthCertificate) -> SosRepresentation:
     """The certificate's own representation: squares of the kernel basis."""
-    summands = [Form.from_coeffs(cert.n, cert.d, v, QQ) for v in cert.basis]
-    target = Form.from_coeffs(cert.n, 2 * cert.d, cert.witness, QQ)
+    summands = [Form.from_coeffs(cert.n, cert.d, v) for v in cert.basis]
+    target = Form.from_coeffs(cert.n, 2 * cert.d, cert.witness)
     return SosRepresentation(summands=tuple(summands), target=target)
 
 
@@ -406,7 +406,7 @@ def mix_representation(rep: SosRepresentation, matrix) -> SosRepresentation:
         raise ValueError(f"mixing matrix must be {m}x{m}")
     new = []
     for j in range(m):
-        q = Form.zero(rep.n, rep.d, QQ)
+        q = Form.zero(rep.n, rep.d)
         for i, p_i in enumerate(rep.summands):
             c = matrix[i][j]
             if c:
@@ -444,10 +444,10 @@ def representation_to_dict(rep: SosRepresentation) -> dict:
 def representation_from_dict(data: dict) -> SosRepresentation:
     n, d = data["n"], data["d"]
     summands = tuple(
-        Form.from_coeffs(n, d, [Fraction(c) for c in vec], QQ)
+        Form.from_coeffs(n, d, [Fraction(c) for c in vec])
         for vec in data["summands"]
     )
-    target = Form.from_coeffs(n, 2 * d, [Fraction(c) for c in data["target"]], QQ)
+    target = Form.from_coeffs(n, 2 * d, [Fraction(c) for c in data["target"]])
     return SosRepresentation(summands=summands, target=target)
 
 

@@ -198,6 +198,30 @@ class TestCache:
         assert len(Path(cache).read_text().splitlines()) == 2
 
 
+    def test_torn_final_line_is_skipped(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        hit_argv = ["ik", "3", "2", "5", "--seed", "4", "--cache", str(cache)]
+        assert main(hit_argv) == 0
+        first = capsys.readouterr().out
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write('{"exit_code":0,"files":{},"key":"ab')  # crash mid-append
+
+        calls = []
+        real = cli._execute
+
+        def counting(args):
+            calls.append(args.command)
+            return real(args)
+
+        monkeypatch.setattr(cli, "_execute", counting)
+        assert main(hit_argv) == 0
+        assert capsys.readouterr().out == first
+        assert calls == []
+        assert main(["bounds", "3", "5", "--cache", str(cache)]) == 0
+        assert "lower>=6" in capsys.readouterr().out
+        assert calls == ["bounds"]
+
+
 class TestExitCodes:
     def test_internal_check_maps_to_5(self, monkeypatch, capsys):
         from soslen.errors import InternalCheckError
@@ -233,3 +257,54 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestFlagValidation:
+    """Out-of-range shared flags exit 4 with one line on stderr, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ik", "3", "2", "5", "--prime", str(2**61 - 1)],
+            ["witness", "3", "2", "--prime2", str(2**127 - 1)],
+            ["ik", "3", "2", "5", "--prime", "91"],
+            ["ik", "3", "2", "5", "--prime", "2147483647", "--prime2", "2147483647"],
+            ["ik", "4", "2", "6", "--trials", "0"],
+            ["ik", "--sweep", "3", "2", "--parallelism", "0"],
+            ["typical", "3", "2", "--trials", "-1"],
+        ],
+    )
+    def test_rejected(self, argv, capsys, monkeypatch):
+        def no_work(cfg):
+            raise AssertionError("a command ran despite an invalid flag")
+
+        monkeypatch.setattr(cli, "_execute", no_work)
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("soslen: error:") and err.count("\n") == 1
+
+    def test_largest_admissible_prime_runs(self, capsys):
+        assert main(["ik", "3", "2", "5", "--seed", "4", "--prime2", "3037000493"]) == 0
+        assert "primes=2147483647|3037000493" in capsys.readouterr().out
+
+
+class TestFileErrors:
+    """Unreadable inputs and unwritable outputs are usage errors, not tracebacks."""
+
+    def _assert_usage_error(self, argv, capsys):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("soslen: error:") and err.count("\n") == 1
+
+    def test_witness_out_into_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "c.json")
+        self._assert_usage_error(["witness", "3", "2", "--seed", "4", "--out", out], capsys)
+
+    def test_gramcheck_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        self._assert_usage_error(["gramcheck", missing, missing], capsys)
+
+    def test_mix_missing_file(self, tmp_path, capsys):
+        self._assert_usage_error(
+            ["mix", str(tmp_path / "nope.json"), str(tmp_path / "m.json")], capsys
+        )

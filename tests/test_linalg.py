@@ -18,7 +18,6 @@ from soslen.linalg import (
     kernel_basis_rational,
     rank_mod_p,
     rank_rational,
-    rank_rational_via_primes,
     rref_mod_p,
 )
 
@@ -60,6 +59,10 @@ def det_fraction_free(rows):
             rows[i][k] = 0
         prev = rows[k][k]
     return sign * rows[-1][-1]
+
+
+# largest prime whose residues multiply without overflowing int64
+INT64_EDGE_PRIME = 3037000493
 
 
 class TestPrimeConstants:
@@ -111,13 +114,12 @@ class TestRankModP:
         permuted = [[row[c] for c in cols] for row in shuffled]
         assert rank_mod_p(PrimeMatrix(permuted, P1)) == r
 
-    def test_big_prime_path(self):
-        p = 2**61 - 1
-        M = PrimeMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]], p)
-        assert not M.uses_int64
-        assert rank_mod_p(M) == 3
-        M2 = PrimeMatrix([[1, 2, 3], [2, 4, 6], [7, 8, 10]], p)
-        assert rank_mod_p(M2) == 2
+    def test_prime_above_int64_bound_rejected(self):
+        for p in (3037000507, 2**61 - 1):  # smallest and a far prime above the bound
+            with pytest.raises(ValueError):
+                PrimeMatrix([[1, 2], [3, 4]], p)
+        M = PrimeMatrix([[1, 2, 3], [2, 4, 6], [7, 8, 10]], INT64_EDGE_PRIME)
+        assert rank_mod_p(M) == 2
 
     def test_determinism(self):
         rng = random.Random(5)
@@ -188,27 +190,12 @@ class TestRationalKernel:
 
 
 class TestRankViaPrimes:
-    def test_identity_certified(self):
-        M = RationalMatrix([[int(i == j) for j in range(5)] for i in range(5)])
-        rb = rank_rational_via_primes(M, (101,))
-        assert rb.value == 5 and rb.certified_exact
-        assert rb.primes_used == (101,)
-
     def test_rank_drop_is_one_sided(self):
         # [[p, 0], [0, 1]] has rational rank 2 but rank 1 mod p
         p = 101
-        M = RationalMatrix([[p, 0], [0, 1]])
-        rb = rank_rational_via_primes(M, (p,))
-        assert rb.value == 1 and not rb.certified_exact
-        assert rank_rational(M) == 2
-
-    def test_denominator_hit_moves_to_next_prime(self):
-        M = RationalMatrix([[Fraction(1, 101), 0], [0, 1]])
-        rb = rank_rational_via_primes(M, (101, 103))
-        assert rb.primes_used == (103,)
-        assert rb.value == 2
-        with pytest.raises(ValueError):
-            rank_rational_via_primes(M, (101,))
+        rows = [[p, 0], [0, 1]]
+        assert rank_mod_p(PrimeMatrix(rows, p)) == 1
+        assert rank_rational(RationalMatrix(rows)) == 2
 
     def test_random_nonsingular_full_at_two_primes(self):
         rng = random.Random(7)
@@ -216,9 +203,8 @@ class TestRankViaPrimes:
             rows = [[rng.randrange(-20, 21) for _ in range(10)] for _ in range(10)]
             if det_fraction_free(rows) != 0:
                 break
-        rb = rank_rational_via_primes(RationalMatrix(rows), DEFAULT_PRIMES)
-        assert rb.value == 10 and rb.certified_exact
-        assert rb.primes_used == DEFAULT_PRIMES
+        for p in DEFAULT_PRIMES:
+            assert rank_mod_p(PrimeMatrix(rows, p)) == 10
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -240,3 +226,54 @@ class TestRationalRankAgainstBareiss:
         rows = [[rng.randrange(-8, 9) for _ in range(k)] for _ in range(k)]
         full = rank_rational(RationalMatrix(rows)) == k
         assert full == (det_fraction_free(rows) != 0)
+
+
+@st.composite
+def known_rank_instances(draw):
+    """(rows, p, k) with rows = B.C mod p of rank exactly k.
+
+    B = [L; random] and C = [U | random] with L unit lower-triangular and U
+    unit upper-triangular (k x k), so B has full column rank and C full row
+    rank.  Rows and columns are then shuffled so pivots are not in place.
+    """
+    p = draw(st.sampled_from((101, P1, INT64_EDGE_PRIME)))
+    shape = draw(st.sampled_from(("tall", "wide", "zero", "equal_rows")))
+    rng = draw(st.randoms(use_true_random=False))
+    if shape == "tall":
+        n = draw(st.integers(1, 8))
+        m = draw(st.integers(n, 14))
+    else:
+        m = draw(st.integers(1, 8))
+        n = draw(st.integers(m, 14)) if shape == "wide" else draw(st.integers(1, 14))
+    k = {"zero": 0, "equal_rows": 1}.get(shape)
+    if k is None:
+        k = draw(st.integers(0, min(m, n)))
+    if shape == "equal_rows":
+        B = [[1] for _ in range(m)]
+    else:
+        B = [[rng.randrange(p) if i > j else int(i == j) for j in range(k)] for i in range(m)]
+    C = [[rng.randrange(p) if j > i else int(i == j) for j in range(n)] for i in range(k)]
+    rows = [[sum(B[i][t] * C[t][j] for t in range(k)) % p for j in range(n)] for i in range(m)]
+    rng.shuffle(rows)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    return [[row[c] for c in cols] for row in rows], p, k
+
+
+class TestKnownRank:
+    """Reference properties of the elimination kernel on A = B.C of rank k."""
+
+    @given(known_rank_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_pivots_and_kernel(self, instance):
+        rows, p, k = instance
+        M = PrimeMatrix(rows, p)
+        assert rank_mod_p(M) == k
+        _, pivots = rref_mod_p(M)
+        assert len(pivots) == k
+        kern = kernel_basis_mod_p(M)
+        assert len(kern) == M.shape[1] - k
+        for v in kern:
+            vec = [int(x) for x in v]
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, vec)) % p == 0

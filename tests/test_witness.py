@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from soslen.bounds import binomial, dim_forms
-from soslen.ring import QQ, Form, Point
+from soslen.ring import Form, Point
 from soslen.witness import (
     SosRepresentation,
     basis_representation,
@@ -52,7 +52,7 @@ class TestBuildWitness:
         rep = basis_representation(cert)
         # witness == sum of squares re-checked by the representation constructor
         assert len(rep.summands) == cert.length
-        witness = Form.from_coeffs(3, 6, cert.witness, QQ)
+        witness = Form.from_coeffs(3, 6, cert.witness)
         for coords in cert.points:
             assert witness.evaluate(Point(coords)) == 0
             for q in rep.summands:
