@@ -62,9 +62,6 @@ class DegreeParams:
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got (n={self.n}, d={self.d})")
 
-    def dim(self, e: int) -> int:
-        return dim_forms(self.n, e)
-
     @property
     def N_d(self) -> int:
         return dim_forms(self.n, self.d)
@@ -143,9 +140,6 @@ class Surd:
         if digits == 0:
             return f"{sign_str}{t}"
         return f"{sign_str}{t // scale}.{t % scale:0{digits}d}"
-
-    def __float__(self) -> float:
-        return float(self.approx(17))
 
 
 def lambda_lower(params: DegreeParams) -> tuple[Surd, int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bounds import DegreeParams, Surd, bounds_row, dim_forms
+from .bounds import DegreeParams, Surd, bounds_row, bounds_table, dim_forms
 from .errors import CertificationError, GenericityError, GuardError, InternalCheckError
 from .generic import (
     DEFAULT_SEED,
@@ -308,11 +308,7 @@ def cmd_table(cfg: RunConfig):
     d_min, d_max = cfg.params["d_min"], cfg.params["d_max"]
     if n_min < 3 or d_min < 2 or n_max < n_min or d_max < d_min:
         raise ValueError("table ranges need n >= 3 and d >= 2")
-    rows = [
-        bounds_row(DegreeParams(n, d))
-        for n in range(n_min, n_max + 1)
-        for d in range(d_min, d_max + 1)
-    ]
+    rows = bounds_table(range(n_min, n_max + 1), range(d_min, d_max + 1))
     return _render_bounds(rows, cfg.format), EXIT_OK, {}
 
 
@@ -366,8 +362,11 @@ def cmd_witness(cfg: RunConfig):
     n = cfg.param("n")
     d = cfg.param("d")
     s = cfg.param("s", required=False)
+    out = cfg.params["out"]
+    if out is not None and not Path(out).parent.is_dir():
+        raise ValueError(f"--out directory {Path(out).parent} does not exist")
     cert = build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes)
-    out_path = cfg.params["out"] or f"witness_n{n}_d{d}_s{cert.s}.json"
+    out_path = out or f"witness_n{n}_d{d}_s{cert.s}.json"
     content = _canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
     summary = (
@@ -424,8 +423,13 @@ def _cache_lookup(path: str, key: str) -> dict | None:
 
 
 def _cache_store(path: str, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_canonical_json(record).rstrip("\n") + "\n")
+    line = _canonical_json(record).encode()
+    with open(path, "a+b") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line  # the last record was torn mid-append
+        fh.write(line)
 
 
 # ---------------------------------------------------------------- parser

@@ -96,18 +96,8 @@ class DimensionReport:
     primes: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity.value,
-            "computed": self.computed,
-            "expected": self.expected,
-            "status": self.status.value,
-            "n": self.n,
-            "d": self.d,
-            "s": self.s,
-            "r": self.r,
-            "seed": self.seed,
-            "primes": list(self.primes),
-        }
+        return {**vars(self), "quantity": self.quantity.value,
+                "status": self.status.value, "primes": list(self.primes)}
 
 
 @dataclass(frozen=True)
@@ -155,27 +145,27 @@ def _gate_ok(points, n: int, d: int, p: int) -> bool:
     vanish on the whole set whenever the point count allows that check."""
     s = len(points)
     N_d = dim_forms(n, d)
-    mat = PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p, cols=N_d)
+    mat = PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p)
     if rank_mod_p(mat) != min(s, N_d):
         return False
     N_prev = dim_forms(n, d - 1) if d >= 1 else 0
     if d >= 1 and s >= N_prev:
-        prev = PrimeMatrix(_eval_matrix_mod_p(points, n, d - 1, p), p, cols=N_prev)
+        prev = PrimeMatrix(_eval_matrix_mod_p(points, n, d - 1, p), p)
         if rank_mod_p(prev) != N_prev:
             return False
     return True
 
 
-def _sample_instance(n, d, s, seed, primes, rounds=_SAMPLE_ROUNDS):
+def _sample_instance(n, d, s, seed, primes):
     """Integer point set passing the gate at every prime, or GenericityError."""
     bound = min(primes)
-    for rnd in range(rounds):
+    for rnd in range(_SAMPLE_ROUNDS):
         rng = random.Random(derive_seed(seed, "points", rnd))
         pts = _raw_points(n, s, bound, rng)
         if all(_gate_ok(pts, n, d, p) for p in primes):
             return tuple(pts)
     raise GenericityError(
-        f"no generic sample of {s} points found in {rounds} rounds at "
+        f"no generic sample of {s} points found in {_SAMPLE_ROUNDS} rounds at "
         f"(n={n}, d={d}); prime too small or pathological parameters"
     )
 
@@ -204,8 +194,7 @@ def vanishing_component(sample: PointSample, d: int) -> VanishingComponent:
     N_d = dim_forms(n, d)
     if s > N_d:
         raise ValueError(f"vanishing component needs s <= N_d, got s={s} > {N_d}")
-    mat = PrimeMatrix(_eval_matrix_mod_p(sample.points, n, d, sample.prime),
-                      sample.prime, cols=N_d)
+    mat = PrimeMatrix(_eval_matrix_mod_p(sample.points, n, d, sample.prime), sample.prime)
     basis = kernel_basis_mod_p(mat)
     dim = len(basis)
     if dim != N_d - s:
@@ -250,13 +239,12 @@ def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
             np.add.at(rows[k], Ta.ravel(), outer.ravel())
             k += 1
     rows %= prime
-    return rank_mod_p(PrimeMatrix(rows, prime, cols=N_2d))
+    return rank_mod_p(PrimeMatrix(rows, prime))
 
 
 def _square_rank(points, n: int, d: int, p: int) -> int:
     """Rank of the matrix of pairwise products of a vanishing-ideal basis."""
-    N_d = dim_forms(n, d)
-    mat = PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p, cols=N_d)
+    mat = PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p)
     kern = kernel_basis_mod_p(mat)
     return pair_products_rank(kern, n, d, p)
 
@@ -269,6 +257,32 @@ def _check_guard(entries: int, allow_large: bool, what: str):
         )
 
 
+def _agreed_rank(sample, rank, primes, where: str) -> int:
+    """Rank of the first instance ``sample(rnd)`` that ``rank(instance, p)``
+    ranks alike at every prime; GenericityError after _SAMPLE_ROUNDS rounds."""
+    for rnd in range(_SAMPLE_ROUNDS):
+        instance = sample(rnd)
+        ranks = {rank(instance, p) for p in primes}
+        if len(ranks) == 1:
+            return ranks.pop()
+    raise GenericityError(
+        f"prime disagreement persisted for {_SAMPLE_ROUNDS} samples at ({where})"
+    )
+
+
+def _judged(report: DimensionReport, what: str) -> DimensionReport:
+    """Verified if the rank meets the expected value (or none is set),
+    InconclusiveHigh below it; above it a proven bound failed, so raise
+    InternalCheckError with ``what`` formatted by the report's fields."""
+    if report.expected is None or report.computed == report.expected:
+        return report
+    if report.computed < report.expected:
+        return replace(report, status=Status.INCONCLUSIVE_HIGH)
+    raise InternalCheckError(
+        what.format(**vars(report)), report=replace(report, status=Status.INTERNAL_ERROR)
+    )
+
+
 def dim_square_component(
     n: int,
     d: int,
@@ -276,7 +290,6 @@ def dim_square_component(
     seed: int = DEFAULT_SEED,
     primes=DEFAULT_PRIMES,
     allow_large: bool = False,
-    rounds: int = _SAMPLE_ROUNDS,
 ) -> DimensionReport:
     """Dimension of span{p_i p_j} for a vanishing-ideal basis of s generic points.
 
@@ -296,35 +309,27 @@ def dim_square_component(
     if n >= 3 and d >= 2 and dim_forms(n, d - 1) <= s < N_d:
         expected_rank = N_2d - ik_expected(n, d, s)
 
-    for rnd in range(rounds):
-        pts = _sample_instance(n, d, s, derive_seed(seed, "square", rnd), primes)
-        ranks = [_square_rank(pts, n, d, p) for p in primes]
-        if len(set(ranks)) != 1:
-            continue  # prime disagreement: resample
-        computed = ranks[0]
-        report = DimensionReport(
-            quantity=Quantity.DIM_SQUARE_COMPONENT_2D,
-            computed=computed,
-            expected=expected_rank,
-            status=Status.VERIFIED,
-            n=n,
-            d=d,
-            s=s,
-            r=None,
-            seed=seed,
-            primes=tuple(primes),
-        )
-        if expected_rank is None or computed == expected_rank:
-            return report
-        if computed < expected_rank:
-            return replace(report, status=Status.INCONCLUSIVE_HIGH)
-        raise InternalCheckError(
-            f"square-component rank {computed} exceeds the structural bound "
-            f"{expected_rank} at (n={n}, d={d}, s={s})",
-            report=replace(report, status=Status.INTERNAL_ERROR),
-        )
-    raise GenericityError(
-        f"prime disagreement persisted for {rounds} samples at (n={n}, d={d}, s={s})"
+    computed = _agreed_rank(
+        lambda rnd: _sample_instance(n, d, s, derive_seed(seed, "square", rnd), primes),
+        lambda pts, p: _square_rank(pts, n, d, p),
+        primes, f"n={n}, d={d}, s={s}",
+    )
+    report = DimensionReport(
+        quantity=Quantity.DIM_SQUARE_COMPONENT_2D,
+        computed=computed,
+        expected=expected_rank,
+        status=Status.VERIFIED,
+        n=n,
+        d=d,
+        s=s,
+        r=None,
+        seed=seed,
+        primes=tuple(primes),
+    )
+    return _judged(
+        report,
+        "square-component rank {computed} exceeds the structural bound "
+        "{expected} at (n={n}, d={d}, s={s})",
     )
 
 
@@ -373,17 +378,8 @@ def ik_verify(
         rep = dim_square_component(
             n, d, s, seed=trial_seed, primes=primes, allow_large=allow_large
         )
-        hrep = DimensionReport(
-            quantity=Quantity.HILBERT_H_2D,
-            computed=N_2d - rep.computed,
-            expected=expected,
-            status=rep.status,
-            n=n,
-            d=d,
-            s=s,
-            r=None,
-            seed=trial_seed,
-            primes=tuple(primes),
+        hrep = replace(
+            rep, quantity=Quantity.HILBERT_H_2D, computed=N_2d - rep.computed, expected=expected
         )
         if hrep.status is Status.VERIFIED:
             return hrep
@@ -413,7 +409,6 @@ def generic_ideal_dim(
     expected: int | None = None,
     quantity: Quantity = Quantity.GENERIC_IDEAL_DIM_M_R,
     allow_large: bool = False,
-    rounds: int = _SAMPLE_ROUNDS,
 ) -> DimensionReport:
     """Degree-2d dimension of the ideal generated by r random degree-d forms.
 
@@ -427,46 +422,32 @@ def generic_ideal_dim(
     N_d, N_2d = params.N_d, params.N_2d
     _check_guard(r * N_d * N_2d, allow_large, "generic-ideal job")
     bound = min(primes)
-    for rnd in range(rounds):
+
+    def random_forms(rnd):
         rng = random.Random(derive_seed(seed, "forms", rnd))
-        forms = np.array(
+        return np.array(
             [[rng.randrange(bound) for _ in range(N_d)] for _ in range(r)],
             dtype=np.int64,
         )
-        ranks = []
-        for p in primes:
-            mat = PrimeMatrix(_ideal_matrix(forms, n, d, p), p, cols=N_2d)
-            ranks.append(rank_mod_p(mat))
-        if len(set(ranks)) != 1:
-            continue
-        computed = ranks[0]
-        status = Status.VERIFIED
-        if expected is not None:
-            if computed > expected:
-                raise InternalCheckError(
-                    f"ideal dimension {computed} exceeds the cap {expected}",
-                    report=DimensionReport(
-                        quantity, computed, expected, Status.INTERNAL_ERROR,
-                        n, d, None, r, seed, tuple(primes),
-                    ),
-                )
-            if computed < expected:
-                status = Status.INCONCLUSIVE_HIGH
-        return DimensionReport(
-            quantity=quantity,
-            computed=computed,
-            expected=expected,
-            status=status,
-            n=n,
-            d=d,
-            s=None,
-            r=r,
-            seed=seed,
-            primes=tuple(primes),
-        )
-    raise GenericityError(
-        f"prime disagreement persisted for {rounds} samples at (n={n}, d={d}, r={r})"
+
+    computed = _agreed_rank(
+        random_forms,
+        lambda forms, p: rank_mod_p(PrimeMatrix(_ideal_matrix(forms, n, d, p), p)),
+        primes, f"n={n}, d={d}, r={r}",
     )
+    report = DimensionReport(
+        quantity=quantity,
+        computed=computed,
+        expected=expected,
+        status=Status.VERIFIED,
+        n=n,
+        d=d,
+        s=None,
+        r=r,
+        seed=seed,
+        primes=tuple(primes),
+    )
+    return _judged(report, "ideal dimension {computed} exceeds the cap {expected}")
 
 
 class TypicalStatus(str, Enum):
@@ -486,14 +467,7 @@ class TypicalLengthResult:
     status: TypicalStatus
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "r_found": self.r_found,
-            "certified_lower": self.certified_lower,
-            "fos_cap": self.fos_cap,
-            "status": self.status.value,
-        }
+        return {**vars(self), "status": self.status.value}
 
 
 def typical_length(

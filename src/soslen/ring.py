@@ -148,9 +148,6 @@ class Form:
             coeffs[mono_rank(expo)] += Fraction(c)
         return cls(n, degree, tuple(coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __add__(self, other: "Form") -> "Form":
         self._check_compatible(other, same_degree=True)
         return Form(

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
-from .generic import DEFAULT_SEED, derive_seed, pair_products_rank
+from .generic import _SAMPLE_ROUNDS, DEFAULT_SEED, derive_seed, pair_products_rank
 from .linalg import (
     DEFAULT_PRIMES,
     RationalMatrix,
@@ -72,20 +72,16 @@ class SosRepresentation:
         for q in self.summands:
             if q.n != n or q.degree != d:
                 raise ValueError("summands must be forms of one (n, degree)")
-        total = Form.zero(n, 2 * d)
-        for q in self.summands:
-            total = total + q * q
-        if total.coeffs != self.target.coeffs or self.target.degree != 2 * d:
+        total = _sum_of_squares_int([q.coeffs for q in self.summands], n, d)
+        if tuple(total) != self.target.coeffs or self.target.degree != 2 * d:
             raise ValueError("summand squares do not sum to the stated target")
 
     @classmethod
     def from_summands(cls, summands) -> "SosRepresentation":
         summands = tuple(summands)
         n, d = summands[0].n, summands[0].degree
-        total = Form.zero(n, 2 * d)
-        for q in summands:
-            total = total + q * q
-        return cls(summands=summands, target=total)
+        total = _sum_of_squares_int([q.coeffs for q in summands], n, d)
+        return cls(summands=summands, target=Form.from_coeffs(n, 2 * d, total))
 
     @property
     def n(self) -> int:
@@ -103,10 +99,6 @@ class GramTensor:
     n: int
     d: int
     matrix: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def basis(self):
-        return monomials(self.n, self.d)
 
     def rank(self) -> int:
         return rank_rational(RationalMatrix(self.matrix))
@@ -162,10 +154,6 @@ class LengthCertificate:
     length: int
     injectivity_rank: int
 
-    @property
-    def nonnegativity_note(self) -> str:
-        return "nonnegative on real points: the witness is a sum of squares by construction"
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -214,6 +202,8 @@ def _eval_rows_int(points, n: int, e: int) -> list[list[int]]:
 
 
 def _sum_of_squares_int(vectors, n: int, d: int) -> list[int]:
+    """Coefficients of the sum of squares of degree-d coefficient vectors;
+    exact for int or Fraction entries."""
     table = product_index_table(n, d, d)
     out = [0] * dim_forms(n, 2 * d)
     for v in vectors:
@@ -231,7 +221,6 @@ def build_witness(
     s: int | None = None,
     seed: int = DEFAULT_SEED,
     primes=DEFAULT_PRIMES,
-    rounds: int = 5,
 ) -> LengthCertificate:
     """Construct a rational sum of squares whose exact length is N_d - s.
 
@@ -256,9 +245,9 @@ def build_witness(
     b = N_d - s
     target_rank = binomial(b + 1, 2)
     N_prev = dim_forms(n, d - 1)
-    gate_failed = injectivity_failed = False
+    injectivity_failed = False
 
-    for rnd in range(rounds):
+    for rnd in range(_SAMPLE_ROUNDS):
         rng = random.Random(derive_seed(seed, "witness", n, d, s, rnd))
         points = []
         for _ in range(s):
@@ -268,17 +257,11 @@ def build_witness(
                     break
             points.append(coords)
 
-        eval_d = _eval_rows_int(points, n, d)
-        if rank_rational(RationalMatrix(eval_d)) != s:
-            gate_failed = True
-            continue
         if rank_rational(RationalMatrix(_eval_rows_int(points, n, d - 1))) != N_prev:
-            gate_failed = True
             continue
-
+        eval_d = _eval_rows_int(points, n, d)
         basis = kernel_basis_rational(RationalMatrix(eval_d))
-        if len(basis) != b:
-            gate_failed = True
+        if len(basis) != b:  # the same test as rank(eval_d) != s
             continue
 
         evidence_primes = tuple(
@@ -315,10 +298,10 @@ def build_witness(
     if injectivity_failed:
         raise CertificationError(
             f"pair-product rank stayed below {target_rank} at every prime for "
-            f"{rounds} samples at (n={n}, d={d}, s={s})"
+            f"{_SAMPLE_ROUNDS} samples at (n={n}, d={d}, s={s})"
         )
     raise GenericityError(
-        f"no rational sample of {s} points passed the exact rank gate in {rounds} rounds"
+        f"no rational sample of {s} points passed the exact rank gate in {_SAMPLE_ROUNDS} rounds"
     )
 
 
@@ -364,11 +347,11 @@ PYTHAGOREAN_TRIPLES = (
 )
 
 
-def random_rational_orthogonal(size: int, seed: int, steps: int | None = None):
+def random_rational_orthogonal(size: int, seed: int):
     """Random orthogonal matrix with rational entries.
 
-    Composed of Givens rotations with Pythagorean-triple cosines on random
-    coordinate pairs, plus occasional sign flips.
+    Composed of 2*size + 2 Givens rotations with Pythagorean-triple cosines
+    on random coordinate pairs, plus occasional sign flips.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -376,9 +359,7 @@ def random_rational_orthogonal(size: int, seed: int, steps: int | None = None):
     rows = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
     if size == 1:
         return ((Fraction(rng.choice((1, -1))),),)
-    if steps is None:
-        steps = 2 * size + 2
-    for _ in range(steps):
+    for _ in range(2 * size + 2):
         i, j = rng.sample(range(size), 2)
         a, b, c = rng.choice(PYTHAGOREAN_TRIPLES)
         cs, sn = Fraction(a, c), Fraction(b, c)
@@ -456,10 +437,17 @@ def save_representation(rep: SosRepresentation, path) -> None:
 
 
 def load_sos_file(path) -> SosRepresentation:
-    """Load either a certificate or a representation file as a representation."""
-    data = json.loads(Path(path).read_text())
-    if "basis" in data and "witness" in data:
-        return basis_representation(LengthCertificate.from_dict(data))
-    if data.get("kind") == "sos_representation":
-        return representation_from_dict(data)
+    """Load either a certificate or a representation file as a representation.
+
+    A file that is not JSON, is of neither shape, or has a missing or
+    ill-typed field is a ValueError that names the file.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+        if "basis" in data and "witness" in data:
+            return basis_representation(LengthCertificate.from_dict(data))
+        if data.get("kind") == "sos_representation":
+            return representation_from_dict(data)
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"{path} is malformed ({type(exc).__name__}: {exc})") from None
     raise ValueError(f"{path} is neither a certificate nor a representation file")

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import soslen.cli as cli
 from soslen.cli import main, paper_table_text
@@ -220,6 +225,10 @@ class TestCache:
         assert main(["bounds", "3", "5", "--cache", str(cache)]) == 0
         assert "lower>=6" in capsys.readouterr().out
         assert calls == ["bounds"]
+        # the record stored after the tear starts on its own line, so it hits
+        assert main(["bounds", "3", "5", "--cache", str(cache)]) == 0
+        assert "lower>=6" in capsys.readouterr().out
+        assert calls == ["bounds"]
 
 
 class TestExitCodes:
@@ -296,7 +305,11 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("soslen: error:") and err.count("\n") == 1
 
-    def test_witness_out_into_missing_directory(self, tmp_path, capsys):
+    def test_witness_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the certificate was built for an unwritable --out")
+
+        monkeypatch.setattr(cli, "build_witness", no_build)
         out = str(tmp_path / "missing" / "c.json")
         self._assert_usage_error(["witness", "3", "2", "--seed", "4", "--out", out], capsys)
 
@@ -308,3 +321,70 @@ class TestFileErrors:
         self._assert_usage_error(
             ["mix", str(tmp_path / "nope.json"), str(tmp_path / "m.json")], capsys
         )
+
+
+# bounded JSON built from the keys and values of sos files, plus objects of
+# the two file shapes with small fields; integers stay small so that no
+# dimension count sees a huge n or d
+_SOS_KEYS = ("basis", "witness", "n", "d", "s", "primes", "seed", "points", "length",
+             "injectivity_rank", "kind", "summands", "target")
+_SMALL = st.integers(-3, 6)
+_COEFF = _SMALL | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x"])
+_VECTORS = st.lists(st.lists(_COEFF, max_size=4), max_size=3)
+_SOS_JSON = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | _COEFF | st.just("sos_representation"),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(_SOS_KEYS), inner, max_size=6),
+        max_leaves=20,
+    ),
+    st.fixed_dictionaries({
+        "kind": st.just("sos_representation"), "n": st.integers(1, 3),
+        "d": st.integers(0, 2), "summands": _VECTORS, "target": st.lists(_COEFF, max_size=6),
+    }),
+    st.builds(  # a valid representation in one variable
+        lambda cs, d: {"kind": "sos_representation", "n": 1, "d": d,
+                       "summands": [[c] for c in cs], "target": [sum(c * c for c in cs)]},
+        st.lists(_SMALL, min_size=1, max_size=3), st.integers(0, 2),
+    ),
+    st.fixed_dictionaries({
+        key: _SMALL for key in ("n", "d", "s", "seed", "length", "injectivity_rank")
+    } | {"primes": st.lists(_SMALL, max_size=2), "points": _VECTORS,
+         "basis": _VECTORS, "witness": st.lists(_COEFF, max_size=6)}),
+)
+
+
+class TestMalformedSosFiles:
+    """A JSON file of the wrong shape is a usage error that names the file."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"basis": [], "witness": []},  # certificate missing its other fields
+            [],  # top level is not an object
+            {"kind": "sos_representation", "n": 1, "d": 1,
+             "summands": [[[1]]], "target": ["1"]},  # list as a coefficient
+        ],
+    )
+    def test_usage_error_naming_the_file(self, data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for argv in (["gramcheck", str(path), str(path)],
+                     ["mix", str(path), str(tmp_path / "m.json")]):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("soslen: error:") and err.count("\n") == 1
+            assert str(path) in err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_SOS_JSON)
+    def test_gramcheck_fuzz_has_documented_exit(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "f.json")
+            Path(path).write_text(json.dumps(data))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["gramcheck", path, path])
+        assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in err.getvalue()

@@ -179,6 +179,31 @@ class TestGenericIdealDim:
             generic_ideal_dim(3, 2, 0, seed=6)
 
 
+class TestVerdicts:
+    """The verdict and resampling rules shared by the two-prime experiments."""
+
+    def test_rank_below_expected_is_inconclusive(self):
+        rep = generic_ideal_dim(3, 2, 1, seed=6, expected=100)
+        assert rep.computed == 6
+        assert rep.status is Status.INCONCLUSIVE_HIGH
+
+    def test_rank_above_expected_is_internal_error(self):
+        with pytest.raises(InternalCheckError) as exc:
+            generic_ideal_dim(3, 2, 1, seed=6, expected=0)
+        assert exc.value.report.status is Status.INTERNAL_ERROR
+        assert exc.value.report.computed == 6 and exc.value.report.expected == 0
+
+    def test_square_component_disagreement_every_round(self, monkeypatch):
+        monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: p)
+        with pytest.raises(GenericityError, match="prime disagreement"):
+            dim_square_component(3, 3, 6, seed=8)
+
+    def test_ideal_disagreement_every_round(self, monkeypatch):
+        monkeypatch.setattr(generic, "rank_mod_p", lambda M: M.p)
+        with pytest.raises(GenericityError, match="prime disagreement"):
+            generic_ideal_dim(3, 2, 1, seed=6)
+
+
 class TestTypicalLength:
     def test_ternary_values(self):
         assert typical_length(3, 1, seed=10).r_found == 3
