@@ -14,7 +14,8 @@ Checks performed:
   4. rank evidence: the matrix of pairwise basis products has full row
      rank C(b+1, 2) modulo every listed prime
 
-Exit status 0 if and only if every check passes.
+Exit status 0 if and only if every check passes.  A file that cannot be
+read or lacks a field is reported as one INVALID line and counts as failed.
 """
 
 import argparse
@@ -133,16 +134,26 @@ def verify(cert):
     return failures
 
 
+# What a missing, unreadable, non-JSON or ill-shaped certificate raises;
+# each is reported as one INVALID line instead of a traceback.
+MALFORMED = (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("certificates", nargs="+", help="certificate JSON files")
     args = ap.parse_args()
     bad = 0
     for path in args.certificates:
-        with open(path) as fh:
-            cert = json.load(fh)
-        print(f"{path}: n={cert['n']} d={cert['d']} s={cert['s']} claimed length {cert['length']}")
-        failures = verify(cert)
+        try:
+            with open(path) as fh:
+                cert = json.load(fh)
+            print(f"{path}: n={cert['n']} d={cert['d']} s={cert['s']} claimed length {cert['length']}")
+            failures = verify(cert)
+        except MALFORMED as exc:
+            bad += 1
+            print(f"{path}: INVALID (malformed certificate: {type(exc).__name__}: {exc})")
+            continue
         if failures:
             bad += 1
             print(f"{path}: INVALID ({len(failures)} failed checks)")

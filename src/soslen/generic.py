@@ -370,6 +370,8 @@ def ik_verify(
     instance certifies the value for (n, d, s); excess is never a
     refutation, so failed trials only yield InconclusiveHigh.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     expected = ik_expected(n, d, s)
     N_2d = dim_forms(n, 2 * d)
     last = None
@@ -492,6 +494,8 @@ def typical_length(
     limit = cap if r_max is None else min(r_max, cap)
     if limit < 1:
         raise ValueError(f"need r_max >= 1, got {r_max}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     certified_lower = lambda_lower(params)[1]
     r_found = None
     for r in range(1, limit + 1):

@@ -2,7 +2,10 @@
 
 The prime-field kernels are the performance core of the package.  Moduli
 are limited to primes below 2^31.5, so products of two residues cannot
-overflow int64 and every elimination runs as one vectorized numpy sweep.
+overflow int64.  Rank, RREF and kernel share one blocked elimination: a
+per-column int64 sweep finds the pivots of each 64-column panel, and the
+rest of the matrix is updated by float64 matrix products (BLAS) on centred
+16-bit limbs, whose every partial sum stays below 2^53 and so is exact.
 
 Rational elimination is fraction-free (integer cross-multiplication with
 per-row content extraction) and is used on the certificate path where
@@ -104,16 +107,26 @@ class PrimeMatrix:
         self.shape = self.arr.shape
 
 
-def _eliminate(A: np.ndarray, p: int, reduced: bool) -> list[int]:
-    """In-place elimination over F_p; returns the pivot columns.
+# Panel width of the blocked elimination.  It is the inner dimension of every
+# float64 product in _eliminate and enters the exactness argument there.
+_PANEL = 64
+# Rows per block of the trailing update, which bounds its float64 scratch.
+_CHUNK = 256
+_LIMB = 65536.0  # 2^16
+
+
+def _sweep(A: np.ndarray, p: int, reduced: bool):
+    """In-place per-column elimination of an int64 array over F_p.
 
     The pivot is the first nonzero entry of the column at or below the
     current row.  With ``reduced`` every other row is cleared in the pivot
     column, leaving A in reduced row echelon form; without it only the rows
-    below the pivot are, which is all the rank needs.
+    below the pivot are.  Returns the pivot columns and the row swaps made,
+    as (current row, pivot row) pairs in order.
     """
     m, n = A.shape
     pivots = []
+    swaps = []
     r = 0
     for c in range(n):
         nz = np.nonzero(A[r:, c])[0]
@@ -122,6 +135,7 @@ def _eliminate(A: np.ndarray, p: int, reduced: bool) -> list[int]:
         i = r + nz[0]
         if i != r:
             A[[r, i]] = A[[i, r]]
+            swaps.append((r, i))
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = (A[r, c:] * inv) % p
         if reduced:
@@ -138,18 +152,113 @@ def _eliminate(A: np.ndarray, p: int, reduced: bool) -> list[int]:
         r += 1
         if r == m:
             break
+    return pivots, swaps
+
+
+def _centred(A: np.ndarray, p: int) -> np.ndarray:
+    """Residues in [0, p) as a new float64 array of values in [-(p-1)/2, (p-1)/2]."""
+    return np.where(A > (p - 1) // 2, A - p, A).astype(np.float64)
+
+
+def _limbs(X: np.ndarray, p: int):
+    """Split residues into centred 16-bit limbs: X = hi * 2^16 + lo (mod p),
+    |hi| <= 2^14.5 + 1/2 and |lo| <= 2^15."""
+    Xc = _centred(X, p)
+    hi = np.round(Xc * (1 / _LIMB))
+    return hi, Xc - hi * _LIMB
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x mod p into [0, p), in place, for integral float64 entries |x| < 2^53.
+
+    The quotient from the rounded reciprocal is off by at most one, so one
+    correction by p in either direction finishes the job; every operand is
+    an integer below 2^53, so each step is exact.
+    """
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+
+
+def _sub_mul(T: np.ndarray, F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: int) -> None:
+    """T <- T - F . (hi * 2^16 + lo) mod p, in place; F centred, T in [0, p)."""
+    t = F @ hi
+    _reduce(t, p)
+    t *= _LIMB
+    t += F @ lo
+    np.subtract(T, t, out=t)
+    _reduce(t, p)
+    T[...] = t
+
+
+def _eliminate(W: np.ndarray, p: int, reduced: bool) -> list[int]:
+    """In-place blocked elimination of a float64 array of residues over F_p;
+    returns the pivot columns.
+
+    The pivots are the greedy ones of a column-by-column sweep (the first
+    column, left to right, that is independent of the earlier ones on the
+    rows not yet used).  With ``reduced`` W ends in reduced row echelon
+    form; without it only the pivot count is meaningful.
+
+    Right-looking block elimination: for each panel of ``_PANEL`` columns
+    the per-column sweep runs on an int64 copy of the panel's remaining
+    rows and yields the panel's k pivots and row swaps.  The swaps are
+    replayed on W, so the k pivot rows sit at r..r+k.  With B their k x k
+    block at the pivot columns and R the rows themselves, X = B^-1 R is
+    their reduced form, and every other row T (below; above too when
+    ``reduced``) becomes T - F X, F being T at the pivot columns.
+
+    Exactness: residues are integers below p <= 3037000499 < 2^53, so
+    float64 holds them exactly.  In each product F X, F is centred to
+    |f| <= (p-1)/2 < 2^30.5 and X is split into centred 16-bit limbs
+    (``_limbs``), so each term has |f * limb| <= 2^45.5, and with an inner
+    dimension k <= 64 every partial sum of the two GEMMs stays below
+    64 * 2^45.5 = 2^51.5 < 2^53, whatever order BLAS adds in.  All sums
+    after that are below 2^52 and ``_reduce`` is exact, so every rank is
+    exact over F_p.
+    """
+    m, n = W.shape
+    pivots = []
+    r = 0
+    for c0 in range(0, n, _PANEL):
+        if r == m:
+            break
+        c1 = min(c0 + _PANEL, n)
+        local, swaps = _sweep(W[r:, c0:c1].astype(np.int64), p, reduced=False)
+        k = len(local)
+        for a, b in swaps:
+            W[[r + a, r + b], c0:] = W[[r + b, r + a], c0:]
+        cols = [c0 + c for c in local]
+        pivots += cols
+        if k and (reduced or (c1 < n and r + k < m)):
+            aug = np.hstack([W[r : r + k, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
+            _sweep(aug, p, reduced=True)  # leaves B^-1 in the right half
+            X = np.zeros((k, n - c0))  # X = 0 - (-B^-1) R
+            _sub_mul(X, -_centred(aug[:, k:], p), *_limbs(W[r : r + k, c0:], p), p)
+            hi, lo = _limbs(X, p)
+            others = [(r + k, m), (0, r)] if reduced else [(r + k, m)]
+            for start, stop in others:
+                for i in range(start, stop, _CHUNK):
+                    j = min(i + _CHUNK, stop)
+                    _sub_mul(W[i:j, c0:], _centred(W[i:j, cols], p), hi, lo, p)
+            W[r : r + k, c0:] = X
+        r += k
     return pivots
 
 
 def rank_mod_p(M: PrimeMatrix) -> int:
     """Exact rank over F_p.  Deterministic: same entries give the same sweep."""
-    return len(_eliminate(M.arr.copy(), M.p, reduced=False))
+    return len(_eliminate(M.arr.astype(np.float64), M.p, reduced=False))
 
 
 def rref_mod_p(M: PrimeMatrix):
-    """Reduced row echelon form and pivot column list."""
-    A = M.arr.copy()
-    return A, _eliminate(A, M.p, reduced=True)
+    """Reduced row echelon form (int64) and pivot column list."""
+    W = M.arr.astype(np.float64)
+    pivots = _eliminate(W, M.p, reduced=True)
+    return W.astype(np.int64), pivots
 
 
 def kernel_basis_mod_p(M: PrimeMatrix) -> np.ndarray:

@@ -156,6 +156,21 @@ class TestWitnessFlow:
         assert "certificate valid" in proc.stdout
 
 
+class TestStandaloneVerifierMalformed:
+    def test_one_invalid_line_per_bad_file(self, tmp_path):
+        (tmp_path / "fields.json").write_text('{"basis": [], "witness": []}')
+        (tmp_path / "text.json").write_text("not json\n")
+        paths = [str(tmp_path / name) for name in ("fields.json", "text.json", "missing.json")]
+        script = Path(__file__).resolve().parents[1] / "scripts" / "verify_certificate.py"
+        proc = subprocess.run([sys.executable, str(script), *paths], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        for path in paths:
+            lines = [ln for ln in proc.stdout.splitlines() if ln.startswith(path + ":")]
+            assert len(lines) == 1, proc.stdout
+            assert lines[0].startswith(f"{path}: INVALID (malformed certificate: ")
+
+
 class TestCache:
     def test_byte_identical_without_recomputation(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "cache.jsonl")

@@ -151,6 +151,11 @@ class TestIkVerify:
         assert rep.quantity is Quantity.HILBERT_H_2D
         assert rep.computed >= rep.expected  # proven direction
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ik_verify(3, 2, 5, trials=trials)
+
 
 class TestGenericIdealDim:
     def test_principal_ideal(self):
@@ -227,6 +232,11 @@ class TestTypicalLength:
             "n": 3, "d": 2, "r_found": 3, "certified_lower": 3,
             "fos_cap": 4, "status": "Exact",
         }
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            typical_length(3, 2, trials=trials)
 
 
 class TestWorkQueue:

@@ -277,3 +277,173 @@ class TestKnownRank:
             vec = [int(x) for x in v]
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) % p == 0
+
+
+def reference_eliminate(A, p, reduced):
+    """The per-column int64 sweep the blocked kernel replaced, kept here as
+    an independent oracle: in-place, returns the pivot columns."""
+    m, n = A.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + nz[0]
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        inv = pow(int(A[r, c]), -1, p)
+        A[r, c:] = (A[r, c:] * inv) % p
+        if reduced:
+            f = A[:, c].copy()
+            f[r] = 0
+            rows = np.nonzero(f)[0]
+            if rows.size:
+                A[rows, c:] = (A[rows, c:] - f[rows, None] * A[r, c:][None, :]) % p
+        else:
+            f = A[r + 1 :, c]
+            if f.size:
+                A[r + 1 :, c:] = (A[r + 1 :, c:] - f[:, None] * A[r, c:][None, :]) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def reference_kernel(R, pivots, p):
+    """Kernel basis read off an RREF: one vector per free column."""
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots), free]).T % p
+    return basis
+
+
+def assert_matches_reference(A, p):
+    """Rank, pivots, RREF bytes and kernel bytes equal the reference sweep's;
+    returns the rank."""
+    M = PrimeMatrix(A, p)
+    R0 = M.arr.copy()
+    pivots0 = reference_eliminate(R0, p, reduced=True)
+    R, pivots = rref_mod_p(M)
+    assert pivots == pivots0
+    assert R.dtype == np.int64 and R.tobytes() == R0.tobytes()
+    kern = kernel_basis_mod_p(M)
+    assert kern.dtype == np.int64
+    assert kern.tobytes() == reference_kernel(R0, pivots0, p).tobytes()
+    rank = rank_mod_p(M)
+    assert rank == len(pivots0)
+    return rank
+
+
+def _mod_product(B, C, p):
+    """B . C mod p without int64 overflow (every product is below p^2 < 2^63)."""
+    A = np.zeros((B.shape[0], C.shape[1]), dtype=np.int64)
+    for t in range(B.shape[1]):
+        A = (A + B[:, t, None] * C[None, t, :] % p) % p
+    return A
+
+
+PANEL_EDGE_COLUMNS = (63, 64, 65, 128, 129)
+
+
+@st.composite
+def panel_instances(draw):
+    """(A, p, k): A = B.C mod p of rank exactly k with up to 200 columns.
+
+    Built as in known_rank_instances, then one block of columns is
+    inserted at a multiple of 64: all zero ("zero_panel") or a copy of the
+    first columns ("duplicated_block"), so that whole panels hold no pivot.
+    Zero rows on top, or every row twice, make the leading rows of a panel
+    dependent, so its pivots need row swaps.
+    """
+    p = draw(st.sampled_from((101, P1, P2, INT64_EDGE_PRIME)))
+    shape = draw(st.sampled_from(("tall", "wide", "zero", "equal_rows")))
+    layout = draw(st.sampled_from(("plain", "zero_panel", "duplicated_block")))
+    n = draw(st.one_of(st.sampled_from(PANEL_EDGE_COLUMNS), st.integers(1, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = 0 if layout == "plain" else min(64, n // 2)
+    n0 = n - w
+    if shape == "tall":
+        m = draw(st.integers(n, n + 30))
+    elif shape == "wide":
+        m = n - draw(st.integers(0, n - 1))
+    else:
+        m = draw(st.integers(1, 230))
+    k = {"zero": 0, "equal_rows": 1}.get(shape)
+    if k is None:
+        top = min(m, n0)
+        k = draw(st.one_of(st.just(top), st.integers(max(0, top - 5), top), st.integers(0, top)))
+    if shape == "equal_rows":
+        B = np.ones((m, 1), dtype=np.int64)
+    else:
+        B = np.tril(rng.integers(0, p, (m, k), dtype=np.int64), -1)
+        B[np.arange(k), np.arange(k)] = 1
+        B = B[rng.permutation(m)]
+    C0 = np.triu(rng.integers(0, p, (k, n0), dtype=np.int64), 1)
+    C0[np.arange(k), np.arange(k)] = 1
+    C0 = C0[:, rng.permutation(n0)]
+    if layout == "zero_panel":
+        at = 64 * draw(st.integers(0, n0 // 64))
+        block = np.zeros((k, w), dtype=np.int64)
+    else:
+        at = 64 * draw(st.integers(1, n0 // 64)) if n0 >= 64 else n0
+        block = C0[:, :w]
+    C = np.hstack([C0[:, :at], block, C0[:, at:]])
+    A = _mod_product(B, C, p)
+    rows = draw(st.sampled_from(("plain", "leading_zero_rows", "repeated_rows")))
+    if rows == "leading_zero_rows":
+        A = np.vstack([np.zeros((draw(st.integers(1, 70)), n), dtype=np.int64), A])
+    elif rows == "repeated_rows":
+        A = np.repeat(A, 2, axis=0)
+    return A, p, k
+
+
+class TestBlockedAgainstReference:
+    """The blocked kernel against the per-column sweep, across panel edges."""
+
+    @given(panel_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_known_rank_matches_reference(self, instance):
+        A, p, k = instance
+        assert assert_matches_reference(A, p) == k
+
+    def test_saturated_entries_at_largest_prime(self):
+        # p - 1 and (p +- 1)/2 centre to -1 and -+(p - 1)/2, the largest
+        # magnitudes the float64 products see; every third row block repeats
+        # an earlier one so the matrix is rank-deficient across panels.
+        p = INT64_EDGE_PRIME
+        rng = np.random.default_rng(2)
+        values = np.array([p - 1, (p - 1) // 2, (p + 1) // 2], dtype=np.int64)
+        for m, n in ((150, 129), (140, 200), (64, 131)):
+            A = values[rng.integers(0, 3, (m, n))]
+            A[2 * m // 3 :] = A[: m - 2 * m // 3]
+            rank = assert_matches_reference(A, p)
+            assert rank <= 2 * m // 3
+        A = np.full((130, 130), p - 1, dtype=np.int64)
+        assert assert_matches_reference(A, p) == 1
+
+    def test_limb_product_exact_at_panel_width(self):
+        # The float64 update T - F.X over an inner dimension of one full
+        # panel, with F and X near the largest centred magnitude (p-1)/2 and
+        # one sign, so the partial sums reach the bound of the exactness
+        # argument; checked against Python integers.
+        from soslen.linalg import _PANEL, _limbs, _sub_mul
+
+        p = INT64_EDGE_PRIME
+        h = (p - 1) // 2
+        rng = np.random.default_rng(3)
+        F = rng.integers(h - 1000, h + 1, (5, _PANEL), dtype=np.int64)
+        X = rng.integers(h - 1000, h + 1, (_PANEL, 7), dtype=np.int64)
+        X[:, :3] = p - X[:, :3]  # centred to -(p-1)/2 + ...: the other sign
+        T = rng.integers(0, p, (5, 7), dtype=np.int64)
+        out = T.astype(np.float64)
+        _sub_mul(out, F.astype(np.float64), *_limbs(X.astype(np.float64), p), p)
+        expected = [
+            [(int(T[i, j]) - sum(int(F[i, t]) * int(X[t, j]) for t in range(_PANEL))) % p
+             for j in range(7)]
+            for i in range(5)
+        ]
+        assert out.astype(np.int64).tolist() == expected
