@@ -1,63 +1,84 @@
 """Exact bounds, dimension experiments and length certificates for sums of
-squares of real forms."""
+squares of real forms.
+
+The public names below load their module on first use, so that importing
+the package (and commands that need no linear algebra) never imports numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundsRow,
-    DegreeParams,
-    Surd,
-    Lambda_upper,
-    asymptotic_constants,
-    binomial,
-    bounds_row,
-    bounds_table,
-    dim_forms,
-    lambda_lower,
-    leep_length_bound,
-    s_min,
-    theta_lower,
-)
-from .errors import (
-    CertificationError,
-    GenericityError,
-    GuardError,
-    InternalCheckError,
-    SoslenError,
-)
-from .generic import (
-    DEFAULT_SEED,
-    DimensionReport,
-    PointSample,
-    Quantity,
-    Status,
-    TypicalLengthResult,
-    dim_square_component,
-    generic_ideal_dim,
-    ik_expected,
-    ik_verify,
-    sample_points,
-    typical_length,
-    vanishing_component,
-)
-from .linalg import (
-    DEFAULT_PRIMES,
-    P1,
-    P2,
-    PrimeMatrix,
-    RationalMatrix,
-    kernel_basis_mod_p,
-    kernel_basis_rational,
-    rank_mod_p,
-    rank_rational,
-)
-from .ring import Form, Point, mono_rank, mono_unrank, monomials
-from .witness import (
-    GramTensor,
-    LengthCertificate,
-    SosRepresentation,
-    build_witness,
-    certify_unique_representation,
-    gram_equivalent,
-    gram_tensor,
-)
+_EXPORTS = {
+    "bounds": (
+        "BoundsRow",
+        "DegreeParams",
+        "Surd",
+        "Lambda_upper",
+        "asymptotic_constants",
+        "binomial",
+        "bounds_row",
+        "bounds_table",
+        "dim_forms",
+        "lambda_lower",
+        "leep_length_bound",
+        "s_min",
+        "theta_lower",
+    ),
+    "errors": (
+        "CertificationError",
+        "GenericityError",
+        "GuardError",
+        "InternalCheckError",
+        "SoslenError",
+    ),
+    "generic": (
+        "DimensionReport",
+        "PointSample",
+        "Quantity",
+        "Status",
+        "TypicalLengthResult",
+        "dim_square_component",
+        "generic_ideal_dim",
+        "ik_expected",
+        "ik_verify",
+        "sample_points",
+        "typical_length",
+        "vanishing_component",
+    ),
+    "linalg": (
+        "PrimeMatrix",
+        "RationalMatrix",
+        "kernel_basis_mod_p",
+        "kernel_basis_rational",
+        "rank_mod_p",
+        "rank_rational",
+    ),
+    "primes": ("DEFAULT_PRIMES", "DEFAULT_SEED", "P1", "P2"),
+    "ring": ("Form", "Point", "mono_rank", "mono_unrank", "monomials"),
+    "witness": (
+        "GramTensor",
+        "LengthCertificate",
+        "SosRepresentation",
+        "build_witness",
+        "certify_unique_representation",
+        "gram_equivalent",
+        "gram_tensor",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -25,23 +26,38 @@ from pathlib import Path
 from . import __version__
 from .bounds import DegreeParams, Surd, bounds_row, bounds_table, dim_forms
 from .errors import CertificationError, GenericityError, GuardError, InternalCheckError
-from .generic import (
-    DEFAULT_SEED,
-    DimensionReport,
-    Status,
-    ik_verify,
-    run_jobs,
-    typical_length,
-)
-from .linalg import P1, P2, _validate_modulus
+from .fileio import write_atomic
+from .primes import DEFAULT_SEED, P1, P2, _validate_modulus
 from .ring import Form, form_to_text
-from .witness import (
-    build_witness,
-    gram_equivalent,
-    load_sos_file,
-    random_mix,
-    representation_to_dict,
-)
+
+
+def _lazy_submodule(name: str):
+    """``soslen.<name>``, registered in ``sys.modules`` now and executed on
+    first attribute access.
+
+    The numeric modules import numpy, whose start-up costs more than a
+    whole bounds command or cache hit; loaded this way, only the commands
+    that reach linear algebra pay for it.  Calls go through the module
+    (``generic.ik_verify(...)``), so they resolve at call time.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)  # as an import would
+    return module
+
+
+# linalg is registered too, though only generic and witness call it, so that
+# importing this module leaves the same numeric modules in sys.modules as an
+# eager import did
+linalg = _lazy_submodule("linalg")
+generic = _lazy_submodule("generic")
+witness = _lazy_submodule("witness")
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -256,7 +272,7 @@ def paper_table_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_line(rep: DimensionReport) -> str:
+def _report_line(rep: generic.DimensionReport) -> str:
     where = f"n={rep.n} d={rep.d}"
     if rep.s is not None:
         where += f" s={rep.s}"
@@ -324,10 +340,10 @@ def cmd_ik(cfg: RunConfig):
              allow_large=cfg.allow_large)
         for s in s_values
     ]
-    reports = run_jobs(ik_verify, jobs, parallelism=cfg.parallelism)
+    reports = generic.run_jobs(generic.ik_verify, jobs, parallelism=cfg.parallelism)
     reports = sorted(reports, key=lambda r: r.s)
     code = EXIT_OK
-    if any(r.status is Status.INCONCLUSIVE_HIGH for r in reports):
+    if any(r.status is generic.Status.INCONCLUSIVE_HIGH for r in reports):
         code = EXIT_INCONCLUSIVE
     return _render_reports(reports, cfg.format), code, {}
 
@@ -335,7 +351,7 @@ def cmd_ik(cfg: RunConfig):
 def cmd_typical(cfg: RunConfig):
     n = cfg.param("n")
     d = cfg.param("d")
-    result = typical_length(
+    result = generic.typical_length(
         n, d, r_max=cfg.params["r_max"], seed=cfg.seed, primes=cfg.primes,
         trials=cfg.trials, allow_large=cfg.allow_large,
     )
@@ -365,7 +381,7 @@ def cmd_witness(cfg: RunConfig):
     out = cfg.params["out"]
     if out is not None and not Path(out).parent.is_dir():
         raise ValueError(f"--out directory {Path(out).parent} does not exist")
-    cert = build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes)
+    cert = witness.build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes)
     out_path = out or f"witness_n{n}_d{d}_s{cert.s}.json"
     content = _canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
@@ -378,18 +394,18 @@ def cmd_witness(cfg: RunConfig):
 
 
 def cmd_mix(cfg: RunConfig):
-    rep = load_sos_file(cfg.params["infile"])
-    mixed = random_mix(rep, cfg.seed)
-    content = _canonical_json(representation_to_dict(mixed))
+    rep = witness.load_sos_file(cfg.params["infile"])
+    mixed = witness.random_mix(rep, cfg.seed)
+    content = _canonical_json(witness.representation_to_dict(mixed))
     out = cfg.params["out"]
     summary = f"mix {cfg.params['infile']} -> {out} ({len(mixed.summands)} summands)\n"
     return summary, EXIT_OK, {out: content}
 
 
 def cmd_gramcheck(cfg: RunConfig):
-    rep1 = load_sos_file(cfg.params["file1"])
-    rep2 = load_sos_file(cfg.params["file2"])
-    same = gram_equivalent(rep1, rep2)
+    rep1 = witness.load_sos_file(cfg.params["file1"])
+    rep2 = witness.load_sos_file(cfg.params["file2"])
+    same = witness.gram_equivalent(rep1, rep2)
     return ("true\n" if same else "false\n"), EXIT_OK, {}
 
 
@@ -413,11 +429,13 @@ def _cache_lookup(path: str, key: str) -> dict | None:
         return None
     hit = None
     for line in p.read_text().splitlines():
+        if key not in line:
+            continue  # a record with this key spells it out on its line
         try:
             rec = json.loads(line)
         except ValueError:
-            continue  # blank, or torn by a crash mid-append: never a hit
-        if rec.get("key") == key:
+            continue  # torn by a crash mid-append: never a hit
+        if isinstance(rec, dict) and rec.get("key") == key:
             hit = rec
     return hit
 
@@ -517,12 +535,12 @@ def main(argv=None) -> int:
             rec = _cache_lookup(cfg.cache, key)
             if rec is not None:
                 for path, content in rec.get("files", {}).items():
-                    Path(path).write_text(content)
+                    write_atomic(path, content)
                 sys.stdout.write(rec["output"])
                 return rec["exit_code"]
         output, code, files = _execute(cfg)
         for path, content in files.items():
-            Path(path).write_text(content)
+            write_atomic(path, content)
         if cfg.cache:
             _cache_store(
                 cfg.cache,

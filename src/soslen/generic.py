@@ -24,12 +24,8 @@ import numpy as np
 
 from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
-from .linalg import (
-    DEFAULT_PRIMES,
-    PrimeMatrix,
-    kernel_basis_mod_p,
-    rank_mod_p,
-)
+from .linalg import PrimeMatrix, kernel_basis_mod_p, rank_mod_p
+from .primes import DEFAULT_PRIMES, DEFAULT_SEED
 from .ring import monomials, product_index_table
 
 __all__ = [
@@ -55,7 +51,6 @@ __all__ = [
     "run_jobs",
 ]
 
-DEFAULT_SEED = 271828
 MAX_DENSE_ENTRIES = 40_000_000
 _SAMPLE_ROUNDS = 5
 

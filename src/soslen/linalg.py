@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
+
+from .primes import DEFAULT_PRIMES, P1, P2, _validate_modulus, is_probable_prime
 
 __all__ = [
     "P1",
@@ -33,55 +34,6 @@ __all__ = [
     "rank_rational",
     "kernel_basis_rational",
 ]
-
-P1 = 2147483647  # 2^31 - 1
-P2 = 2147483629  # largest prime below P1; keeps all products inside int64
-DEFAULT_PRIMES = (P1, P2)
-
-# Largest modulus whose squares fit in int64: isqrt(2^63 - 1).
-_INT64_SAFE_PRIME = 3037000499
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(m: int) -> bool:
-    """Miller-Rabin primality test, deterministic for m < 2^64."""
-    if m < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % q == 0:
-            return m == q
-    d = m - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _validate_modulus(p: int) -> None:
-    """Reject anything but a prime in [2, 3037000499].
-
-    The bound keeps every product of two residues inside int64; it is the
-    only prime range the package supports.
-    """
-    if not 2 <= p <= _INT64_SAFE_PRIME:
-        raise ValueError(
-            f"prime modulus must satisfy 2 <= p <= {_INT64_SAFE_PRIME}, got {p}"
-        )
-    if not is_probable_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
 
 
 class PrimeMatrix:

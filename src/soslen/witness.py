@@ -23,13 +23,10 @@ from pathlib import Path
 
 from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
-from .generic import _SAMPLE_ROUNDS, DEFAULT_SEED, derive_seed, pair_products_rank
-from .linalg import (
-    DEFAULT_PRIMES,
-    RationalMatrix,
-    kernel_basis_rational,
-    rank_rational,
-)
+from .fileio import write_atomic
+from .generic import _SAMPLE_ROUNDS, derive_seed, pair_products_rank
+from .linalg import RationalMatrix, kernel_basis_rational, rank_rational
+from .primes import DEFAULT_PRIMES, DEFAULT_SEED
 from .ring import Form, Point, monomials, product_index_table
 
 __all__ = [
@@ -405,7 +402,7 @@ def _canonical_json(data: dict) -> str:
 
 
 def save_certificate(cert: LengthCertificate, path) -> None:
-    Path(path).write_text(_canonical_json(cert.to_dict()))
+    write_atomic(path, _canonical_json(cert.to_dict()))
 
 
 def load_certificate(path) -> LengthCertificate:
@@ -433,7 +430,7 @@ def representation_from_dict(data: dict) -> SosRepresentation:
 
 
 def save_representation(rep: SosRepresentation, path) -> None:
-    Path(path).write_text(_canonical_json(representation_to_dict(rep)))
+    write_atomic(path, _canonical_json(representation_to_dict(rep)))
 
 
 def load_sos_file(path) -> SosRepresentation:

@@ -3,11 +3,15 @@
 The tracer in ``perfbench/tracer.py`` binds soslen's layer functions (and
 those of ``scripts/verify_certificate.py``) by module and attribute path.
 A rename would otherwise surface only when the traced benchmark runs; here
-it fails the test suite.  The tracer is loaded but never installed.
+it fails the test suite.  The tracer is loaded but not installed, except by
+the last test, which installs it in a fresh process.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,33 @@ def test_target_resolves_to_a_callable(span, module, path, modules):
         owner = getattr(owner, part, None)
         assert owner is not None, f"{span}: {module}.{path} does not exist"
     assert callable(owner), f"{span}: {module}.{path} is not callable"
+
+
+def test_tracer_installs_after_importing_only_the_cli():
+    """The in-process benchmark imports ``soslen.cli`` alone and then looks up
+    every target's module in ``sys.modules``; the CLI loads the numeric
+    modules lazily, and they must be registered all the same."""
+    code = f"""
+import importlib.util
+import soslen.cli as cli
+
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+tracer = load("perfbench_tracer", {str(ROOT / "perfbench" / "tracer.py")!r})
+verifier = load("verify_certificate", {str(ROOT / "scripts" / "verify_certificate.py")!r})
+spans = tracer.Tracer()
+spans.install(tracer.installed_modules(verifier))
+assert cli.main(["ik", "3", "2", "5", "--seed", "4"]) == 0
+calls = spans.metrics(1.0)[1]["calls"]
+print(calls["cli.handler"], calls["generic.ik_verify"], calls["linalg.rank_mod_p"] > 0)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 1 True"

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 import soslen.cli as cli
 from soslen.cli import main, paper_table_text
+from soslen.fileio import write_atomic
 
 PAPER_ROWS = {
     "s_min(4,d):": [5, 12, 24, 41, 65, 97, 137],
@@ -245,6 +249,85 @@ class TestCache:
         assert "lower>=6" in capsys.readouterr().out
         assert calls == ["bounds"]
 
+    def test_lookup_matches_the_key_field_only(self, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        key, other = "ab" * 32, "cd" * 32
+        cli._cache_store(cache, {"key": other, "output": f"see {key}\n", "exit_code": 0,
+                                 "files": {}})
+        assert cli._cache_lookup(cache, key) is None
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write(f'["{key}"]\n')  # valid JSON holding the key, but not a record
+            fh.write(f'{{"exit_code":0,"files":{{}},"key":"{key}","out')  # torn mid-append
+        assert cli._cache_lookup(cache, key) is None
+        record = {"key": key, "output": "hit\n", "exit_code": 0, "files": {}}
+        cli._cache_store(cache, record)
+        assert cli._cache_lookup(cache, key) == record
+        assert cli._cache_lookup(cache, other)["output"] == f"see {key}\n"
+
+
+class TestAtomicWrites:
+    """A failed write leaves the previous file byte-identical and no temp file."""
+
+    OLD = b'{"old":true}\n'
+
+    @staticmethod
+    def _crash_before_rename(monkeypatch, written):
+        def crash(src, dst):
+            written.append(Path(src).read_text())
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "c.json"
+        target.write_bytes(self.OLD)
+        with pytest.raises(UnicodeEncodeError):  # raised by the write itself
+            write_atomic(target, "x" * 100_000 + "\ud800")
+        assert target.read_bytes() == self.OLD
+        assert list(tmp_path.iterdir()) == [target]
+        written = []
+        self._crash_before_rename(monkeypatch, written)
+        with pytest.raises(OSError):
+            write_atomic(target, "new\n")
+        assert written == ["new\n"]  # the new text went to a temp file only
+        assert target.read_bytes() == self.OLD
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_symlink_and_pipe_are_written_through(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_bytes(self.OLD)
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        write_atomic(link, "new\n")
+        assert link.is_symlink() and real.read_text() == "new\n"
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        write_atomic(pipe, "through\n")
+        reader.join(10)
+        assert got == ["through\n"]
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "real.json"]
+
+    def test_certificate_and_replay_writes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["witness", "3", "2", "--seed", "4", "--out", "w.json", "--cache", "c.jsonl"]
+        Path("w.json").write_bytes(self.OLD)
+        written = []
+        for attempt in ("computed", "replayed"):
+            with monkeypatch.context() as m:
+                self._crash_before_rename(m, written)
+                assert main(argv) == 4, attempt
+            assert Path("w.json").read_bytes() == self.OLD
+            assert main(argv) == 0  # first computes and caches, then replays
+            fresh = Path("w.json").read_text()
+            Path("w.json").write_bytes(self.OLD)
+        assert written == [fresh, fresh]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "w.json"]
+        capsys.readouterr()
+
 
 class TestExitCodes:
     def test_internal_check_maps_to_5(self, monkeypatch, capsys):
@@ -253,7 +336,7 @@ class TestExitCodes:
         def boom(**kwargs):
             raise InternalCheckError("computed value below the proven bound")
 
-        monkeypatch.setattr(cli, "ik_verify", boom)
+        monkeypatch.setattr(cli.generic, "ik_verify", boom)
         assert main(["ik", "3", "2", "5"]) == 5
         assert "internal check violated" in capsys.readouterr().err
 
@@ -263,7 +346,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise CertificationError("injectivity rank short at every prime")
 
-        monkeypatch.setattr(cli, "build_witness", boom)
+        monkeypatch.setattr(cli.witness, "build_witness", boom)
         assert main(["witness", "3", "3"]) == 3
 
 
@@ -324,7 +407,7 @@ class TestFileErrors:
         def no_build(*args, **kwargs):
             raise AssertionError("the certificate was built for an unwritable --out")
 
-        monkeypatch.setattr(cli, "build_witness", no_build)
+        monkeypatch.setattr(cli.witness, "build_witness", no_build)
         out = str(tmp_path / "missing" / "c.json")
         self._assert_usage_error(["witness", "3", "2", "--seed", "4", "--out", out], capsys)
 

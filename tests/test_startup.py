@@ -1,0 +1,110 @@
+"""Start-up in a fresh process.
+
+Commands that need no linear algebra (``--version``, ``bounds``, ``table``
+and every cache hit) must never import numpy; the numeric modules load on
+first use.  Each test starts its own interpreter, because in this one every
+module is already loaded.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import soslen.cli as cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs ``python -m soslen.cli ARGS`` and reports afterwards whether numpy was
+# ever loaded
+PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("soslen.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("numpy loaded: %s\\n" % ("numpy" in sys.modules))
+"""
+
+
+def _env():
+    env = dict(os.environ)
+    env.pop("PYLAB_CACHE", None)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def python(*args, cwd=None):
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_env(),
+                          capture_output=True, text=True)
+
+
+def soslen(*argv, cwd=None):
+    """Exit code, stdout and whether numpy was loaded, of one fresh command."""
+    proc = python("-c", PROBE, *argv, cwd=cwd)
+    loaded = proc.stderr.splitlines()[-1]
+    assert loaded in ("numpy loaded: True", "numpy loaded: False"), proc.stderr
+    return proc.returncode, proc.stdout, loaded.endswith("True")
+
+
+def test_version_skips_numpy():
+    code, out, numpy = soslen("--version")
+    assert (code, out, numpy) == (0, "soslen 0.1.0\n", False)
+
+
+@pytest.mark.parametrize("argv", [["bounds", "3", "4"], ["table", "--paper-table"]])
+def test_bounds_commands_skip_numpy(argv, capsys):
+    code, out, numpy = soslen(*argv)
+    assert (code, out) == (cli.main(argv), capsys.readouterr().out)
+    assert not numpy
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [(["ik", "--sweep", "4", "3"], []), (["witness", "3", "3", "--out", "F"], ["F"])],
+)
+def test_cache_hit_skips_numpy(argv, files, tmp_path):
+    argv = [*argv, "--cache", "cache.jsonl"]
+    code, first, numpy = soslen(*argv, cwd=tmp_path)
+    assert code == 0 and numpy  # the miss computes, so it reaches linear algebra
+    written = {name: (tmp_path / name).read_bytes() for name in files}
+    for name in files:
+        (tmp_path / name).unlink()
+    code, second, numpy = soslen(*argv, cwd=tmp_path)
+    assert (code, second) == (0, first)
+    assert not numpy
+    assert {name: (tmp_path / name).read_bytes() for name in files} == written
+
+
+def test_import_registers_numeric_modules_without_loading_numpy():
+    proc = python("-c", "import sys, soslen.cli\n"
+                  "print(sorted(m for m in ('soslen.linalg', 'soslen.generic',"
+                  " 'soslen.witness') if m in sys.modules), 'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['soslen.generic', 'soslen.linalg', 'soslen.witness'] False\n"
+
+
+def test_package_names_resolve_on_first_use():
+    proc = python("-c", """
+import sys, soslen
+assert soslen.DEFAULT_SEED == 271828 and soslen.P1 == 2147483647
+assert "numpy" not in sys.modules
+assert set(soslen.__all__) <= set(dir(soslen)) and "rank_mod_p" in dir(soslen)
+M = soslen.PrimeMatrix([[1, 2], [2, 4]], soslen.P1)
+assert soslen.rank_mod_p(M) == 1
+try:
+    soslen.no_such_name
+except AttributeError:
+    print("ok")
+""")
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_parallel_sweep_matches_serial_in_fresh_processes():
+    argv = ["ik", "--sweep", "3", "2"]
+    serial = soslen(*argv, "--parallelism", "1")
+    parallel = soslen(*argv, "--parallelism", "2")
+    assert serial[0] == 0 and serial[1].count("\n") == 3
+    assert parallel[:2] == serial[:2]

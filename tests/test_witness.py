@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,22 @@ class TestSerialization:
         save_certificate(cert, path)
         rep = load_sos_file(path)
         assert len(rep.summands) == cert.length
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        cert = build_witness(3, 2, 3, seed=17)
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        path = tmp_path / "old.json"
+        for save, obj in ((save_certificate, cert),
+                          (save_representation, basis_representation(cert))):
+            path.write_text("old\n")
+            with pytest.raises(OSError):
+                save(obj, path)
+            assert path.read_text() == "old\n"
+            assert list(tmp_path.iterdir()) == [path]
 
     def test_unknown_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
