@@ -435,9 +435,21 @@ def _cache_lookup(path: str, key: str) -> dict | None:
             rec = json.loads(line)
         except ValueError:
             continue  # torn by a crash mid-append: never a hit
-        if isinstance(rec, dict) and rec.get("key") == key:
+        if isinstance(rec, dict) and rec.get("key") == key and _replayable(rec):
             hit = rec
     return hit
+
+
+def _replayable(rec: dict) -> bool:
+    """Whether a record holds everything a cache hit writes: a record that
+    lacks a field or has one of the wrong type is skipped like a torn line."""
+    files = rec.get("files", {})
+    return (
+        isinstance(rec.get("output"), str)
+        and type(rec.get("exit_code")) is int
+        and isinstance(files, dict)
+        and all(isinstance(v, str) for v in files.values())
+    )
 
 
 def _cache_store(path: str, record: dict) -> None:

@@ -7,18 +7,26 @@ per-column int64 sweep finds the pivots of each 64-column panel, and the
 rest of the matrix is updated by float64 matrix products (BLAS) on centred
 16-bit limbs, whose every partial sum stays below 2^53 and so is exact.
 
-Rational elimination is fraction-free (integer cross-multiplication with
-per-row content extraction) and is used on the certificate path where
-matrices stay small.
+The rational kernel is multimodular: the integer rows are reduced
+modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
+time in one batched Gauss-Jordan sweep, and the kernel vectors scaled by
+the determinant of the pivot block, integers, are combined by CRT until an
+exact check pins the canonical basis.  The rational rank, needed only as
+a fallback, is fraction-free elimination (integer cross-multiplication
+with per-row content extraction).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import InternalCheckError
 from .primes import DEFAULT_PRIMES, P1, P2, _validate_modulus, is_probable_prime
 
 __all__ = [
@@ -293,40 +301,185 @@ def rank_rational(M: RationalMatrix) -> int:
     return len(pivots)
 
 
-def _normalize_kernel_vector(v: list[Fraction]) -> list[int]:
-    """Clear denominators, divide by content, make the leading entry positive."""
-    L = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * L) for x in v]
-    ints = _divide_by_content(ints)
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+# Primes per elimination stack of the multimodular kernel; it bounds the
+# (primes, rows, cols) int64 stack and so the kernel's memory.
+_STACK = 16
+
+
+@lru_cache(maxsize=None)
+def _prime_block(k: int) -> tuple[int, ...]:
+    """Block k of the kernel primes: a fixed sequence descending from
+    2^31 - 1, ``_STACK`` at a time, so every run uses the same primes."""
+    q = _prime_block(k - 1)[-1] - 2 if k else P1
+    block = []
+    while len(block) < _STACK:
+        if is_probable_prime(q):
+            block.append(q)
+        q -= 2
+    return tuple(block)
+
+
+def _residue_stacks(rows: list[list[int]]):
+    """Yield (primes, stack) for successive groups of ``_STACK`` kernel
+    primes, the stack being the integer matrix reduced modulo each prime as
+    a (primes, rows, cols) int64 array.
+
+    Each |x| is split once into 16-bit limbs; a group is reduced as one
+    integer matrix product against the powers 2^(16k) mod p, exact while
+    there are fewer than 2^16 limbs (each term is below 2^16 * 2^31).
+    """
+    m, n = len(rows), len(rows[0])
+    flat = [x for row in rows for x in row]
+    width = 2 * max(1, -(-max(abs(x).bit_length() for x in flat) // 16))
+    limbs = np.frombuffer(
+        b"".join(abs(x).to_bytes(width, "little") for x in flat), dtype="<u2"
+    ).reshape(len(flat), width // 2).astype(np.int64)
+    neg = np.array([x < 0 for x in flat])
+    for block in itertools.count():
+        primes = _prime_block(block)
+        P = np.array(primes, dtype=np.int64)
+        radix = [[pow(65536, k, p) for p in primes] for k in range(width // 2)]
+        res = limbs @ np.array(radix, dtype=np.int64) % P
+        res[neg] = -res[neg] % P
+        yield P, np.ascontiguousarray(res.T).reshape(len(primes), m, n)
+
+
+def _rref_stack(A: np.ndarray, P: np.ndarray):
+    """Gauss-Jordan elimination of a (primes, rows, cols) int64 stack, one
+    column step for all primes at once.
+
+    Returns (RREFs, primes, steps, dets).  ``steps`` lists the (column, row)
+    of each pivot.  A prime whose pivot is not the smallest of the stack
+    (no pivot in a column where another prime has one, or a later pivot
+    row) is dropped: mod p the pivots can only come later than over the
+    rationals, so the primes kept are those whose pivots are the
+    lexicographically smallest.  They all pivot on the same rows, so those
+    rows, in the order chosen, restricted to the pivot columns, form one
+    integer matrix B; ``dets`` holds det B modulo each prime kept.
+    """
+    m, n = A.shape[1:]
+    steps = []
+    dets = np.ones(len(P), dtype=np.int64)
+    T = np.empty_like(A)  # scratch for the update, allocated once
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = A[:, r:, c] != 0
+        first = np.where(nz.any(axis=1), nz.argmax(axis=1), m)
+        if first.min() == m:
+            continue
+        keep = first == first.min()
+        if not keep.all():
+            A, P, dets, T = A[keep], P[keep], dets[keep], T[keep]
+        i = r + int(first.min())
+        if i != r:
+            A[:, [r, i]] = A[:, [i, r]]
+        dets = dets * A[:, r, c] % P
+        inv = np.array([pow(int(a), -1, int(p)) for a, p in zip(A[:, r, c], P)], dtype=np.int64)
+        A[:, r, c:] = A[:, r, c:] * inv[:, None] % P[:, None]
+        f = A[:, :, c].copy()
+        f[:, r] = 0
+        t = np.multiply(f[:, :, None], A[:, r, None, c:], out=T[:, :, c:])
+        np.subtract(A[:, :, c:], t, out=t)
+        np.remainder(t, P[:, None, None], out=A[:, :, c:])
+        steps.append((c, i))
+        r += 1
+    return A, P, steps, dets
+
+
+def _crt_extend(modulus: int, values: list[int], primes, X: np.ndarray):
+    """Extend residues ``values`` mod ``modulus``, in place, by the rows of
+    X (one row of residues per prime) with the Chinese remainder theorem.
+
+    Returns the new modulus and whether every value kept its symmetric
+    residue, the representative of least absolute value.
+    """
+    primes = [int(p) for p in primes]
+    Q = math.prod(primes)
+    coeffs = [Q // p * pow(Q // p, -1, p) for p in primes]
+    inv = pow(modulus, -1, Q)
+    same = True
+    for i, col in enumerate(X.T):
+        v = values[i]
+        t = (sum(map(operator.mul, col.tolist(), coeffs)) - v % Q) * inv % Q
+        same = same and t == (Q - 1 if 2 * v > modulus else 0)
+        values[i] = v + modulus * t
+    return modulus * Q, same
+
+
+def _canonical(v: list[int]) -> list[int]:
+    """Divide by the content and make the leading nonzero entry positive."""
+    v = _divide_by_content(v)
+    return [-x for x in v] if next(x for x in v if x) < 0 else v
 
 
 def kernel_basis_rational(M: RationalMatrix) -> list[list[int]]:
     """Exact basis of the right kernel, normalized to integer content-1 vectors.
 
     Each returned vector v satisfies M @ v == 0 exactly; the count is
-    cols - rank.  Vectors are canonical for a given input: integer entries
-    with gcd 1 and positive leading (lowest-index nonzero) coefficient.
+    cols - rank.  Vectors are canonical for a given input: one per
+    non-pivot column fc of the rational echelon form, supported on fc and
+    the pivot columns before it, with integer entries of gcd 1 and a
+    positive leading (lowest-index nonzero) coefficient.
+
+    Multimodular: the integer rows are eliminated modulo ``_STACK`` primes
+    at a time (``_rref_stack``).  For the primes sharing the smallest
+    pivots, with B their pivot block, the vector of free column fc scaled
+    by det B is an integer vector: det B at fc and, at the pivot columns,
+    minors of the pivot rows, so all at most H, Hadamard's bound of the
+    rows.  Its residues are combined by CRT and read as symmetric residues
+    once the modulus exceeds 2 H or they repeat from one stack to the next
+    (no rational reconstruction is needed).  The loop stops when every
+    vector w, built on its free column and the earlier pivot columns only,
+    has w[fc] != 0 and M @ w == 0 exactly.  That pins the rational pivot
+    columns: each mod-p free column is then dependent on the columns
+    before it, and there are at least cols - rank of them.  So the basis
+    is the canonical one whatever primes were used.
     """
     m, n = M.shape
     if m == 0 or n == 0:
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    ech, pivots = _echelon_integer(_integer_rows(M))
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            acc = Fraction(0)
-            for c in range(pc + 1, n):
-                if v[c]:
-                    acc += ech[i][c] * v[c]
-            v[pc] = -acc / ech[i][pc]
-        basis.append(_normalize_kernel_vector(v))
-    return basis
+    rows = _integer_rows(M)
+    hbits = sum(sum(x * x for x in row).bit_length() for row in rows) // 2 + 1
+    # A prime is unlucky only if it divides one of the leading pivot minors,
+    # whose product is at most H^min(m, n); the others multiply past 2 H
+    # after hbits/30 primes more.  Needing more primes than this is a bug.
+    limit = (min(m, n) + 1) * hbits // 30 + 3 * _STACK
+    best = [(n + 1, 0)]  # above every list of pivots
+    for used, (P, A) in enumerate(_residue_stacks(rows)):
+        if used * _STACK > limit:
+            raise InternalCheckError(f"multimodular kernel of a {m}x{n} matrix did not converge")
+        R, P, steps, dets = _rref_stack(A, P)
+        key = steps + [(n, 0)]
+        if key > best:
+            continue  # these primes are all unlucky
+        pivots = [c for c, _ in steps]
+        pivot_set = set(pivots)
+        free = [c for c in range(n) if c not in pivot_set]
+        if not free:
+            return []  # full column rank mod p, so over the rationals too
+        entries = [(i, fc) for fc in free for i, pc in enumerate(pivots) if pc < fc]
+        if key < best:
+            best, modulus, values = key, 1, [0] * (len(entries) + 1)
+        ii = [i for i, _ in entries]
+        cc = [fc for _, fc in entries]
+        scaled = dets[:, None] * (-R[:, ii, cc] % P[:, None]) % P[:, None]
+        fresh = modulus == 1
+        modulus, same = _crt_extend(modulus, values, P, np.hstack([scaled, dets[:, None]]))
+        if (fresh or not same) and modulus.bit_length() <= hbits + 1:
+            continue
+        *numerators, d = (v - modulus if 2 * v > modulus else v for v in values)
+        basis = []
+        it = iter(numerators)
+        for fc in free:
+            support = [pc for pc in pivots if pc < fc] + [fc]
+            w = [0] * n
+            for pc in support[:-1]:
+                w[pc] = next(it)
+            w[fc] = d
+            if d == 0 or any(sum(row[c] * w[c] for c in support) for row in rows):
+                break
+            basis.append(_canonical(w))
+        else:
+            return basis

@@ -11,6 +11,12 @@ implies full rational rank — so the symmetric coefficient tensor of every
 representation coincides with that of the basis representation, whose rank
 is b.  The certified length claim is unconditional for the recorded
 points; no conjecture enters.
+
+The samples are gated by the rank of their degree-(d-1) evaluation matrix
+mod p, with the exact rational rank as the fallback, and the basis comes
+from the multimodular kernel of ``linalg``.  Both modules, and numpy with
+them, load inside ``build_witness`` only, so loading, mixing and comparing
+representations needs neither.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from pathlib import Path
 from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
 from .fileio import write_atomic
-from .generic import _SAMPLE_ROUNDS, derive_seed, pair_products_rank
-from .linalg import RationalMatrix, kernel_basis_rational, rank_rational
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
 from .ring import Form, Point, monomials, product_index_table
 
@@ -49,8 +53,8 @@ __all__ = [
 ]
 
 # Point coordinates are drawn from [-COORD_BOUND, COORD_BOUND]: small enough
-# to keep the fraction-free kernel entries manageable, large enough that the
-# genericity gate essentially always passes on the first round.
+# to keep the kernel entries manageable, large enough that the genericity
+# gate essentially always passes on the first round.
 COORD_BOUND = 1000
 
 
@@ -96,9 +100,6 @@ class GramTensor:
     n: int
     d: int
     matrix: tuple[tuple[Fraction, ...], ...]
-
-    def rank(self) -> int:
-        return rank_rational(RationalMatrix(self.matrix))
 
 
 def gram_tensor(rep: SosRepresentation) -> GramTensor:
@@ -221,12 +222,23 @@ def build_witness(
 ) -> LengthCertificate:
     """Construct a rational sum of squares whose exact length is N_d - s.
 
-    Samples s integer points, checks genericity exactly over the
-    rationals, takes the canonical integer kernel basis of the evaluation
-    matrix, and certifies injectivity of the pair-product map by full row
-    rank mod p.  Defaults to the smallest certifiable point count
-    s_min(n, d).
+    Samples s integer points, checks that no degree-(d-1) form vanishes on
+    them (full rank of their evaluation matrix mod one of ``primes``, else
+    exactly over the rationals), takes the canonical integer kernel basis
+    of the degree-d evaluation matrix, and certifies injectivity of the
+    pair-product map by full row rank mod p.  Defaults to the smallest
+    certifiable point count s_min(n, d).
     """
+    # the numeric modules load here only: mix and gramcheck never need them
+    from .generic import _SAMPLE_ROUNDS, _eval_matrix_mod_p, derive_seed, pair_products_rank
+    from .linalg import (
+        PrimeMatrix,
+        RationalMatrix,
+        kernel_basis_rational,
+        rank_mod_p,
+        rank_rational,
+    )
+
     if n < 3 or d < 2:
         raise ValueError(f"witness construction needs n >= 3 and d >= 2, got ({n}, {d})")
     params = DegreeParams(n, d)
@@ -254,7 +266,12 @@ def build_witness(
                     break
             points.append(coords)
 
-        if rank_rational(RationalMatrix(_eval_rows_int(points, n, d - 1))) != N_prev:
+        # full rank mod p implies full rational rank; the exact rank decides
+        # only when every prime is unlucky
+        if not any(
+            rank_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d - 1, p), p)) == N_prev
+            for p in primes
+        ) and rank_rational(RationalMatrix(_eval_rows_int(points, n, d - 1))) != N_prev:
             continue
         eval_d = _eval_rows_int(points, n, d)
         basis = kernel_basis_rational(RationalMatrix(eval_d))

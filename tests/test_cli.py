@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import importlib.util
 import io
 import json
 import os
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 import soslen.cli as cli
 from soslen.cli import main, paper_table_text
 from soslen.fileio import write_atomic
+from soslen.linalg import RationalMatrix, kernel_basis_rational
+from soslen.witness import _eval_rows_int, _sum_of_squares_int, build_witness, save_certificate
 
 PAPER_ROWS = {
     "s_min(4,d):": [5, 12, 24, 41, 65, 97, 137],
@@ -175,6 +179,107 @@ class TestStandaloneVerifierMalformed:
             assert lines[0].startswith(f"{path}: INVALID (malformed certificate: ")
 
 
+def run_verifier(*paths):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_certificate.py"
+    return subprocess.run([sys.executable, str(script), *map(str, paths)],
+                          capture_output=True, text=True)
+
+
+class TestStandaloneVerifierSoundness:
+    """Checks the verifier needs beyond shape, multiply-back, vanishing and
+    pair-product rank."""
+
+    @staticmethod
+    def forged_certificate():
+        """A witness 3 3 certificate whose last point repeats the first, with
+        4 of the 5 forms vanishing on the 5 distinct points as its basis: it
+        passes the four older checks, yet the basis does not span the forms
+        vanishing on the points, so its length claim proves nothing."""
+        cert = build_witness(3, 3)
+        points = [list(p) for p in cert.points]
+        points[-1] = points[0]
+        kernel = kernel_basis_rational(RationalMatrix(_eval_rows_int(points, 3, 3)))
+        assert len(kernel) == cert.length + 1
+        basis = kernel[:-1]
+        return dict(cert.to_dict(), points=points, basis=basis,
+                    witness=_sum_of_squares_int(basis, 3, 3))
+
+    def test_repeated_point_is_invalid(self, tmp_path):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(self.forged_certificate()))
+        proc = run_verifier(path)
+        assert proc.returncode == 1
+        failed = [ln for ln in proc.stdout.splitlines() if "[FAIL]" in ln]
+        assert failed == ["  [FAIL] independent points: evaluation matrix has rank s = 6 "
+                          "modulo a prime"], proc.stdout
+        assert proc.stdout.endswith(f"{path}: INVALID (1 failed checks)\n")
+
+    def test_empty_prime_list_is_invalid(self, tmp_path):
+        path = tmp_path / "noprimes.json"
+        path.write_text(json.dumps(dict(build_witness(3, 3).to_dict(), primes=[])))
+        proc = run_verifier(path)
+        assert proc.returncode == 1
+        assert "  [FAIL] rank evidence" in proc.stdout
+
+    def test_package_certificates_pass(self, tmp_path):
+        paths = []
+        for n, d in [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)]:
+            paths.append(tmp_path / f"w{n}{d}.json")
+            save_certificate(build_witness(n, d), paths[-1])
+        proc = run_verifier(*paths)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.count("certificate valid") == len(paths)
+        assert "independent points" not in proc.stdout  # printed only on failure
+
+
+@functools.lru_cache(maxsize=None)
+def load_verifier():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_certificate.py"
+    spec = importlib.util.spec_from_file_location("verify_certificate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_rank_mod_p(rows, p):
+    """Row reduction on plain lists, one entry at a time."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestVerifierRank:
+    """The verifier's packed-row rank against plain row reduction."""
+
+    @given(st.randoms(use_true_random=False), st.sampled_from((2, 3, 101, 2**31 - 1, 4294967291)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference(self, rng, p):
+        m, n, k = rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 6)
+        B = [[rng.randint(-(2**70), 2**70) for _ in range(k)] for _ in range(m)]
+        C = [[rng.choice((0, 1, -1, rng.randint(-(2**40), 2**40))) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        if m and rng.random() < 0.3:
+            rows.append(list(rows[0]))
+        assert load_verifier().rank_mod_p(rows, p) == reference_rank_mod_p(rows, p)
+
+    def test_lanes_at_their_largest(self):
+        # entries just below p and full rank, so every row is updated at every
+        # pivot with lanes near their bound
+        p = 4294967291
+        rows = [[p - 1 - pow(i + 2, j, 97) for j in range(40)] for i in range(40)]
+        assert load_verifier().rank_mod_p(rows, p) == reference_rank_mod_p(rows, p) == 40
+
+
 class TestCache:
     def test_byte_identical_without_recomputation(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "cache.jsonl")
@@ -263,6 +368,31 @@ class TestCache:
         cli._cache_store(cache, record)
         assert cli._cache_lookup(cache, key) == record
         assert cli._cache_lookup(cache, other)["output"] == f"see {key}\n"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"output": "x\n"},
+            {"exit_code": 0},
+            {"output": 5, "exit_code": 0},
+            {"output": "x\n", "exit_code": "0"},
+            {"output": "x\n", "exit_code": 0, "files": ["w.json"]},
+            {"output": "x\n", "exit_code": 0, "files": {"w.json": 1}},
+        ],
+    )
+    def test_record_lacking_replay_fields_is_skipped(self, tmp_path, capsys, monkeypatch, fields):
+        monkeypatch.chdir(tmp_path)
+        argv = ["bounds", "3", "4", "--cache", "cache.jsonl"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        key = json.loads(Path("cache.jsonl").read_text())["key"]
+        Path("cache.jsonl").write_text(json.dumps({"key": key, **fields}) + "\n")
+        assert main(argv) == 0  # recomputed, not a KeyError or TypeError traceback
+        assert capsys.readouterr().out == expected
+        assert main(argv) == 0  # the recomputed record is stored and now hits
+        assert capsys.readouterr().out == expected
+        assert len(Path("cache.jsonl").read_text().splitlines()) == 2
 
 
 class TestAtomicWrites:

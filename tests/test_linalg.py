@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soslen import linalg
+from soslen.errors import InternalCheckError
 from soslen.linalg import (
     DEFAULT_PRIMES,
     P1,
@@ -447,3 +450,143 @@ class TestBlockedAgainstReference:
             for i in range(5)
         ]
         assert out.astype(np.int64).tolist() == expected
+
+
+def _reference_divide_by_content(row):
+    g = 0
+    for x in row:
+        g = math.gcd(g, x)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def reference_kernel_basis_rational(M):
+    """The fraction-free kernel the multimodular one replaced, kept here as
+    an independent oracle: integer row echelon form with per-row content
+    division, back-substitution in exact fractions, then each vector
+    cleared of denominators, divided by its content and made to lead with
+    a positive entry."""
+    m, n = M.shape
+    if m == 0 or n == 0:
+        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    rows = []
+    for row in M.rows:
+        L = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * L) for x in row])
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            if f:
+                rows[i] = _reference_divide_by_content(
+                    [pv * a - f * b for a, b in zip(rows[i], rows[r])]
+                )
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    ech = rows[:r]
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i in range(len(pivots) - 1, -1, -1):
+            pc = pivots[i]
+            acc = sum((ech[i][c] * v[c] for c in range(pc + 1, n) if v[c]), Fraction(0))
+            v[pc] = -acc / ech[i][pc]
+        L = math.lcm(*(x.denominator for x in v))
+        ints = _reference_divide_by_content([int(x * L) for x in v])
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        basis.append(ints)
+    return basis
+
+
+@st.composite
+def rational_kernel_instances(draw):
+    """RationalMatrix B.C of rank at most k, with B and C of up to 60-bit
+    entries (so up to about 120-bit products), optionally zeroed rows and
+    columns, columns shuffled so the pivots are not leading, rows divided
+    by random denominators, and empty shapes."""
+    rng = draw(st.randoms(use_true_random=False))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    k = draw(st.integers(0, min(m, n)))
+    bits = draw(st.sampled_from((2, 31, 60)))
+    B = [[rng.randint(-(2**bits), 2**bits) for _ in range(k)] for _ in range(m)]
+    C = [[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(k)]
+    rows = [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    if n and draw(st.booleans()):
+        for c in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[c] = 0
+    if m and draw(st.booleans()):
+        rows[rng.randrange(m)] = [0] * n
+    cols = list(range(n))
+    rng.shuffle(cols)
+    rows = [[row[c] for c in cols] for row in rows]
+    if draw(st.booleans()):
+        rows = [[Fraction(x, rng.randint(1, 2**bits)) for x in row] for row in rows]
+    return RationalMatrix(rows, cols=n)
+
+
+class TestMultimodularKernel:
+    """The multimodular kernel returns the fraction-free oracle's basis."""
+
+    @given(rational_kernel_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, M):
+        assert kernel_basis_rational(M) == reference_kernel_basis_rational(M)
+
+    def test_unlucky_first_prime_is_dropped(self):
+        # mod P1 the second row is [1, 1, 1]: the pivots move from [0, 1] to [0, 2]
+        rows = [[1, 1, 0], [1, 1 + P1, 1]]
+        assert rref_mod_p(PrimeMatrix(rows, P1))[1] == [0, 2]
+        M = RationalMatrix(rows)
+        assert kernel_basis_rational(M) == reference_kernel_basis_rational(M) == [[1, -1, P1]]
+
+    def test_unlucky_pivot_row_is_dropped(self):
+        # mod P1 the first row starts with 0, so the first pivot moves to the
+        # second row while the pivot columns stay [0, 1]
+        rows = [[P1, 1, 2], [1, 0, 3]]
+        stack = np.array([[[x % p for x in row] for row in rows] for p in (P1, P2)])
+        _, kept, steps, dets = linalg._rref_stack(stack, np.array([P1, P2], dtype=np.int64))
+        assert kept.tolist() == [P2] and steps == [(0, 0), (1, 1)]
+        assert dets.tolist() == [(P1 * 0 - 1 * 1) % P2]  # det of the pivot block
+        M = RationalMatrix(rows)
+        assert kernel_basis_rational(M) == reference_kernel_basis_rational(M)
+
+    def test_every_prime_of_two_stacks_unlucky(self):
+        # column 0 vanishes modulo each prime of the first two stacks: their
+        # candidate for the pivot list [1] repeats, is tried and refuted by
+        # the exact check, and the third stack's smaller list [0] replaces it
+        Q = math.prod(linalg._prime_block(0) + linalg._prime_block(1))
+        M = RationalMatrix([[Q, 1], [2 * Q, 2]])
+        assert kernel_basis_rational(M) == reference_kernel_basis_rational(M) == [[1, -Q]]
+
+    def test_canonical_vectors_need_the_content_division(self):
+        M = RationalMatrix([[2, 4, 6, 8]])
+        assert kernel_basis_rational(M) == [[2, -1, 0, 0], [3, 0, -1, 0], [4, 0, 0, -1]]
+        # the common denominator 6 leaves contents 3 and 2 to divide out
+        M = RationalMatrix([[6, 3, 2]])
+        assert kernel_basis_rational(M) == reference_kernel_basis_rational(M) == [
+            [1, -2, 0], [1, 0, -3]]
+
+    def test_nonconvergence_is_an_internal_error(self, monkeypatch):
+        # with every det B read as 0 the candidates vanish at their free
+        # column: the support check refuses them, and the prime budget ends
+        # the loop
+        real = linalg._rref_stack
+
+        def zero_dets(A, P):
+            R, P, steps, dets = real(A, P)
+            return R, P, steps, dets * 0
+
+        monkeypatch.setattr(linalg, "_rref_stack", zero_dets)
+        with pytest.raises(InternalCheckError):
+            kernel_basis_rational(RationalMatrix([[1, 2, 3]]))

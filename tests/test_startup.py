@@ -1,8 +1,8 @@
 """Start-up in a fresh process.
 
-Commands that need no linear algebra (``--version``, ``bounds``, ``table``
-and every cache hit) must never import numpy; the numeric modules load on
-first use.  Each test starts its own interpreter, because in this one every
+Commands that need no linear algebra (``--version``, ``bounds``, ``table``,
+``mix``, ``gramcheck`` and every cache hit) must never import numpy; the
+numeric modules load on first use.  Each test starts its own interpreter, because in this one every
 module is already loaded.
 """
 
@@ -76,6 +76,18 @@ def test_cache_hit_skips_numpy(argv, files, tmp_path):
     assert (code, second) == (0, first)
     assert not numpy
     assert {name: (tmp_path / name).read_bytes() for name in files} == written
+
+
+def test_mix_and_gramcheck_skip_numpy(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["witness", "3", "3", "--out", "c.json"]) == 0
+    assert cli.main(["mix", "c.json", "in_process.json"]) == 0
+    capsys.readouterr()
+    code, out, numpy = soslen("mix", "c.json", "m.json", cwd=tmp_path)
+    assert (code, out, numpy) == (0, "mix c.json -> m.json (4 summands)\n", False)
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+    code, out, numpy = soslen("gramcheck", "c.json", "m.json", cwd=tmp_path)
+    assert (code, out, numpy) == (0, "true\n", False)
 
 
 def test_import_registers_numeric_modules_without_loading_numpy():

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from soslen import linalg
 from soslen.bounds import binomial, dim_forms
+from soslen.linalg import RationalMatrix, rank_rational
 from soslen.ring import Form, Point
 from soslen.witness import (
     SosRepresentation,
@@ -80,6 +82,27 @@ class TestBuildWitness:
         assert a == b
 
 
+class TestDegreeBelowGate:
+    """The degree-(d-1) gate: full rank mod a listed prime, else exact rank."""
+
+    def test_mod_p_gate_needs_no_rational_rank(self, monkeypatch):
+        def no_exact_rank(M):
+            raise AssertionError("rank_rational called although a prime has full rank")
+
+        monkeypatch.setattr(linalg, "rank_rational", no_exact_rank)
+        assert build_witness(3, 4, seed=21).length == 5
+
+    def test_deficient_at_every_prime_falls_back_to_exact_rank(self, monkeypatch, tmp_path):
+        save_certificate(build_witness(3, 4, seed=21), tmp_path / "mod_p.json")
+        exact_calls = []
+        real = linalg.rank_rational
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda M: 0)
+        monkeypatch.setattr(linalg, "rank_rational", lambda M: exact_calls.append(M) or real(M))
+        save_certificate(build_witness(3, 4, seed=21), tmp_path / "fallback.json")
+        assert len(exact_calls) == 1
+        assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "mod_p.json").read_bytes()
+
+
 class TestGramTensor:
     def test_identity_block(self):
         x, y = x_form(2, 0), x_form(2, 1)
@@ -97,7 +120,7 @@ class TestGramTensor:
     def test_rank_equals_certificate_length(self):
         cert = build_witness(3, 3, 6, seed=21)
         g = gram_tensor(basis_representation(cert))
-        assert g.rank() == cert.length == 4
+        assert rank_rational(RationalMatrix(g.matrix)) == cert.length == 4
 
     def test_different_targets_rejected(self):
         x, y = x_form(2, 0), x_form(2, 1)
