@@ -453,8 +453,14 @@ def _replayable(rec: dict) -> bool:
 
 
 def _cache_store(path: str, record: dict) -> None:
+    """Append one record under an exclusive lock, so that concurrent writers
+    neither interleave their records nor both mend one torn tail; closing
+    the file flushes the record and then releases the lock."""
+    import fcntl  # here, not at the top: a cache hit never stores
+
     line = _canonical_json(record).encode()
     with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
         if fh.seek(0, os.SEEK_END):
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":

@@ -17,14 +17,25 @@ mod p, with the exact rational rank as the fallback, and the basis comes
 from the multimodular kernel of ``linalg``.  Both modules, and numpy with
 them, load inside ``build_witness`` only, so loading, mixing and comparing
 representations needs neither.
+
+Sums of squares, Gram tensors and mixes share one exact integer kernel.
+Each vector's denominators are cleared once (u_k = D_k v_k), and the upper
+triangle of L * sum_k v_k v_k^T, with L = lcm(D_k^2), is formed in integers
+by column dot products.  The sum of squares collapses it through the
+monomial product table, counting each off-diagonal entry twice; the Gram
+tensor is it divided by L and mirrored.  ``Fraction`` objects are built
+only at that boundary.  A representation keeps the Gram that its target
+check computed, so comparing two representations computes no other.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from .bounds import DegreeParams, binomial, dim_forms, s_min
@@ -59,11 +70,79 @@ COORD_BOUND = 1000
 
 
 @dataclass(frozen=True)
+class _IntGram:
+    """den * sum_k v_k v_k^T in integers, upper triangle over the support.
+
+    ``support`` lists the coordinates where some v_k is nonzero, the only
+    rows and columns with nonzero entries; ``upper[a][c]`` is the entry at
+    (support[a], support[a + c]).
+    """
+
+    den: int
+    support: tuple[int, ...]
+    upper: tuple[tuple[int, ...], ...]
+
+
+def _cleared(vectors) -> tuple[list[list[int]], list[int]]:
+    """Integer vectors u_k = D_k v_k and their denominators D_k, the lcm of
+    the denominators of v_k; exact for int or Fraction entries."""
+    us, dens = [], []
+    for v in vectors:
+        D = math.lcm(*[c.denominator for c in v])
+        us.append([c.numerator * (D // c.denominator) for c in v])
+        dens.append(D)
+    return us, dens
+
+
+def _int_gram(vectors) -> _IntGram:
+    """The exact Gram sum_k v_k v_k^T of int or Fraction vectors, over the
+    common denominator L = lcm(D_k^2), with (L / D_k^2) u_k u_k^T summed by
+    one column dot product per upper-triangle entry."""
+    us, dens = _cleared(vectors)
+    den = math.lcm(*[D * D for D in dens])
+    cols = list(zip(*us))
+    support = tuple(i for i, col in enumerate(cols) if any(col))
+    weights = [den // (D * D) for D in dens]
+    upper = []
+    for a, i in enumerate(support):
+        wcol = cols[i] if den == 1 else list(map(mul, weights, cols[i]))
+        upper.append(tuple(sum(map(mul, wcol, cols[j])) for j in support[a:]))
+    return _IntGram(den, support, tuple(upper))
+
+
+def _square_sum(gram: _IntGram, n: int, d: int) -> list:
+    """Coefficients of the sum of squares whose Gram is ``gram``: each entry
+    lands on the product of its two monomials, off the diagonal twice."""
+    table = product_index_table(n, d, d)
+    out = [0] * dim_forms(n, 2 * d)
+    support = gram.support
+    for a, (i, row) in enumerate(zip(support, gram.upper)):
+        prod = table[i]
+        out[prod[i]] += row[0]
+        for j, g in zip(support[a + 1:], row[1:]):
+            out[prod[j]] += 2 * g
+    if gram.den == 1:
+        return out
+    return [Fraction(x, gram.den) for x in out]
+
+
+def _sum_of_squares_int(vectors, n: int, d: int) -> list:
+    """Coefficients of the sum of squares of degree-d coefficient vectors:
+    ints for int vectors, exact for int or Fraction entries."""
+    return _square_sum(_int_gram(vectors), n, d)
+
+
+@dataclass(frozen=True)
 class SosRepresentation:
-    """A tuple of degree-d forms together with the sum of their squares."""
+    """A tuple of degree-d forms together with the sum of their squares.
+
+    The constructor checks the target against the Gram of the summands and
+    keeps that Gram for ``gram_tensor`` and ``gram_equivalent``.
+    """
 
     summands: tuple[Form, ...]
     target: Form
+    gram: _IntGram = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(self.summands))
@@ -73,7 +152,9 @@ class SosRepresentation:
         for q in self.summands:
             if q.n != n or q.degree != d:
                 raise ValueError("summands must be forms of one (n, degree)")
-        total = _sum_of_squares_int([q.coeffs for q in self.summands], n, d)
+        gram = _int_gram([q.coeffs for q in self.summands])
+        object.__setattr__(self, "gram", gram)
+        total = _square_sum(gram, n, d)
         if tuple(total) != self.target.coeffs or self.target.degree != 2 * d:
             raise ValueError("summand squares do not sum to the stated target")
 
@@ -105,16 +186,11 @@ class GramTensor:
 def gram_tensor(rep: SosRepresentation) -> GramTensor:
     """Exact symmetric tensor of a representation; rank = dim span(summands)."""
     N = dim_forms(rep.n, rep.d)
+    g = rep.gram
     mat = [[Fraction(0)] * N for _ in range(N)]
-    for q in rep.summands:
-        coeffs = q.coeffs
-        for i in range(N):
-            ci = coeffs[i]
-            if ci:
-                row = mat[i]
-                for j in range(N):
-                    if coeffs[j]:
-                        row[j] += ci * coeffs[j]
+    for a, (i, row) in enumerate(zip(g.support, g.upper)):
+        for j, x in zip(g.support[a:], row):
+            mat[i][j] = mat[j][i] = Fraction(x, g.den)
     return GramTensor(rep.n, rep.d, tuple(tuple(row) for row in mat))
 
 
@@ -122,13 +198,19 @@ def gram_equivalent(rep1: SosRepresentation, rep2: SosRepresentation) -> bool:
     """Whether two representations of one form are orthogonally equivalent.
 
     Over a real coefficient field equal tensors are equivalent
-    representations and conversely, so exact entrywise comparison decides.
+    representations and conversely, so exact entrywise comparison decides:
+    G1 / L1 == G2 / L2 exactly when G1 L2 == G2 L1.
     """
     if (rep1.n, rep1.d) != (rep2.n, rep2.d):
         raise ValueError("representations live in different spaces")
     if rep1.target.coeffs != rep2.target.coeffs:
         raise ValueError("representations have different targets")
-    return gram_tensor(rep1).matrix == gram_tensor(rep2).matrix
+    g1, g2 = rep1.gram, rep2.gram
+    return g1.support == g2.support and all(
+        x * g2.den == y * g1.den
+        for row1, row2 in zip(g1.upper, g2.upper)
+        for x, y in zip(row1, row2)
+    )
 
 
 @dataclass(frozen=True)
@@ -197,20 +279,6 @@ def _eval_rows_int(points, n: int, e: int) -> list[list[int]]:
             row.append(val)
         rows.append(row)
     return rows
-
-
-def _sum_of_squares_int(vectors, n: int, d: int) -> list[int]:
-    """Coefficients of the sum of squares of degree-d coefficient vectors;
-    exact for int or Fraction entries."""
-    table = product_index_table(n, d, d)
-    out = [0] * dim_forms(n, 2 * d)
-    for v in vectors:
-        nz = [(i, c) for i, c in enumerate(v) if c]
-        for i, ci in nz:
-            row = table[i]
-            for j, cj in nz:
-                out[row[j]] += ci * cj
-    return out
 
 
 def build_witness(
@@ -393,20 +461,24 @@ def random_rational_orthogonal(size: int, seed: int):
 def mix_representation(rep: SosRepresentation, matrix) -> SosRepresentation:
     """Right-multiply the summand tuple by an orthogonal matrix.
 
-    New summand j is sum_i matrix[i][j] * p_i; orthogonality preserves the
-    sum of squares, which the constructor re-verifies exactly.
+    New summand j is sum_i matrix[i][j] * p_i, formed in integers over the
+    common denominator of its matrix column and the summands' own;
+    orthogonality preserves the sum of squares, which the constructor
+    re-verifies exactly.
     """
     m = len(rep.summands)
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise ValueError(f"mixing matrix must be {m}x{m}")
+    us, dens = _cleared([q.coeffs for q in rep.summands])
+    cols = list(zip(*us))
     new = []
     for j in range(m):
-        q = Form.zero(rep.n, rep.d)
-        for i, p_i in enumerate(rep.summands):
-            c = matrix[i][j]
-            if c:
-                q = q + p_i.scale(c)
-        new.append(q)
+        # matrix[i][j] * p_i = (a / e) * u_i / D_i, over E = lcm(e * D_i)
+        entries = [Fraction(matrix[i][j]) for i in range(m)]
+        E = math.lcm(*[c.denominator * D for c, D in zip(entries, dens) if c])
+        coefs = [c.numerator * (E // (c.denominator * D)) for c, D in zip(entries, dens)]
+        coeffs = tuple(Fraction(sum(map(mul, coefs, col)), E) for col in cols)
+        new.append(Form(rep.n, rep.d, coeffs))
     return SosRepresentation(summands=tuple(new), target=rep.target)
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -395,6 +396,53 @@ class TestCache:
         assert len(Path("cache.jsonl").read_text().splitlines()) == 2
 
 
+    def test_concurrent_writers_keep_every_record(self, tmp_path):
+        """Four processes append at once to a cache whose last record was torn
+        by a crash: the tear is mended once, and every record stays whole."""
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text('{"exit_code":0,"files":{},"key":"torn')
+        go = tmp_path / "go"
+        writer = (
+            "import os, sys\n"
+            "import soslen.cli as cli\n"
+            "path, go, who = sys.argv[1:]\n"
+            "while not os.path.exists(go):\n"
+            "    pass\n"
+            "for i in range(25):\n"
+            "    cli._cache_store(path, {'key': f'{who}-{i}', 'output': who * 5000,\n"
+            "                            'exit_code': 0, 'files': {}})\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        procs = [subprocess.Popen([sys.executable, "-c", writer, str(cache), str(go), str(who)],
+                                  env=env) for who in range(4)]
+        go.touch()  # all four start appending at once
+        assert [proc.wait(timeout=60) for proc in procs] == [0] * 4
+        torn, *lines = cache.read_text().splitlines()
+        assert torn == '{"exit_code":0,"files":{},"key":"torn'
+        assert len(lines) == 100
+        assert all(isinstance(json.loads(line), dict) for line in lines)
+        for who in range(4):
+            for i in range(25):
+                assert cli._cache_lookup(str(cache), f"{who}-{i}")["output"] == str(who) * 5000
+
+    def test_store_waits_for_the_lock(self, tmp_path):
+        import fcntl
+
+        cache = tmp_path / "cache.jsonl"
+        record = {"key": "k", "output": "x\n", "exit_code": 0, "files": {}}
+        with open(cache, "a+b") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            writer = threading.Thread(target=cli._cache_store, args=(str(cache), record))
+            writer.start()
+            writer.join(0.3)
+            assert writer.is_alive() and cache.read_bytes() == b""
+        writer.join(10)  # closing the holder released the lock
+        assert not writer.is_alive()
+        assert cli._cache_lookup(str(cache), "k") == record
+
+
 class TestAtomicWrites:
     """A failed write leaves the previous file byte-identical and no temp file."""
 
@@ -615,4 +663,99 @@ class TestMalformedSosFiles:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["gramcheck", path, path])
         assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in err.getvalue()
+
+
+# argv drawn from the subcommands and their flags, with bad values, missing
+# and unreadable files; every size is at most 4, so no draw runs for long.
+# --parallelism is never above 1, so no draw starts a process pool.
+_SIZE = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x", ""])
+_FILE = st.sampled_from(["cert.json", "rep.json", "bad.json", "missing.json", "dir"])
+_FLAG_VALUES = {
+    "--n": _SIZE, "--d": _SIZE, "--s": _SIZE, "--r-max": _SIZE,
+    "--n-min": _SIZE, "--n-max": _SIZE, "--d-min": _SIZE, "--d-max": _SIZE,
+    "--seed": st.sampled_from(["1", "random", "x", "-3"]),
+    "--prime": st.sampled_from(["2", "101", "91", "-7", "1000003", "3037000500"]),
+    "--prime2": st.sampled_from(["3", "101", "2147483647", "x"]),
+    "--trials": st.sampled_from(["0", "1", "2", "-1", "x"]),
+    "--parallelism": st.sampled_from(["0", "1", "-2", "x"]),
+    "--format": st.sampled_from(["table", "json", "csv", "xml"]),
+    "--cache": st.sampled_from(["cache.jsonl", "missing/c.jsonl", "dir"]),
+    "--out": st.sampled_from(["out.json", "missing/out.json", "dir"]),
+}
+_SWITCHES = ["--sweep", "--allow-large", "--paper-table", "--help", "--version", "--bogus"]
+_SEEDED = ["--seed", "--prime", "--prime2", "--trials", "--parallelism", "--allow-large"]
+_ACCEPTED = {  # the flags each subcommand takes, beside --format and --cache
+    "bounds": ["--n", "--d"],
+    "table": ["--paper-table", "--n-min", "--n-max", "--d-min", "--d-max"],
+    "ik": ["--n", "--d", "--s", "--sweep", *_SEEDED],
+    "typical": ["--n", "--d", "--r-max", *_SEEDED],
+    "witness": ["--n", "--d", "--s", "--out", *_SEEDED],
+    "mix": _SEEDED,
+    "gramcheck": [],
+    "nonsense": [],
+}
+
+
+@st.composite
+def _argvs(draw):
+    sub = draw(st.sampled_from(list(_ACCEPTED)))
+    files = sub in ("mix", "gramcheck")
+    if draw(st.booleans()):  # the positionals the subcommand expects, of the right kind
+        count = {"table": 0, "nonsense": 0, "ik": 3, "witness": draw(st.integers(2, 3))}.get(sub, 2)
+        argv = [sub] + draw(st.lists(_FILE if files else st.sampled_from("1234"),
+                                     min_size=count, max_size=count))
+    else:
+        argv = [sub] + draw(st.lists(_FILE if files else _SIZE, max_size=4))
+    accepted = _ACCEPTED[sub] + ["--format", "--cache"]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 9)):
+            flag = draw(st.sampled_from(accepted))
+        else:  # possibly a flag of another subcommand, or of none
+            flag = draw(st.sampled_from(list(_FLAG_VALUES) + _SWITCHES))
+        argv.append(flag)
+        if flag in _FLAG_VALUES and draw(st.integers(0, 9)):  # sometimes the value is missing
+            argv.append(draw(_FLAG_VALUES[flag]))
+    return argv
+
+
+class TestArgvFuzz:
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        """A directory holding a certificate, a mix of it, a file that is not
+        JSON, and a directory where a file is expected; each example runs in
+        a fresh copy, since a draw may write into it (``mix``'s output path
+        is drawn from the same names)."""
+        root = tmp_path_factory.mktemp("fuzz")
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["witness", "3", "2", "--out", "cert.json"]) == 0
+                assert main(["mix", "cert.json", "rep.json"]) == 0
+        finally:
+            os.chdir(cwd)
+        (root / "bad.json").write_text("{")
+        (root / "dir").mkdir()
+        return root
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(_argvs())
+    def test_only_documented_exits(self, template, monkeypatch, argv):
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cwd = os.getcwd()
+            os.chdir(shutil.copytree(template, Path(tmp) / "w"))
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse: --help, --version or a usage error
+                code = exc.code
+                assert code in (0, 4), argv
+            finally:
+                os.chdir(cwd)
+        assert code in {0, 2, 3, 4, 5}, argv
         assert "Traceback" not in err.getvalue()

@@ -3,13 +3,16 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soslen import linalg
+from soslen import cli, linalg
 from soslen.bounds import binomial, dim_forms
 from soslen.linalg import RationalMatrix, rank_rational
-from soslen.ring import Form, Point
+from soslen.ring import Form, Point, product_index_table
 from soslen.witness import (
     SosRepresentation,
+    _sum_of_squares_int,
     basis_representation,
     build_witness,
     certify_unique_representation,
@@ -28,6 +31,108 @@ from soslen.witness import (
 def x_form(n, i, d=1):
     expo = tuple(d if j == i else 0 for j in range(n))
     return Form.from_terms(n, d, {expo: 1})
+
+
+# The pairwise loops that the integer Gram kernel replaced, kept as oracles:
+# every ordered pair of nonzero entries is multiplied, in the entries' own
+# int or Fraction arithmetic.
+
+
+def reference_sum_of_squares(vectors, n, d):
+    table = product_index_table(n, d, d)
+    out = [0] * dim_forms(n, 2 * d)
+    for v in vectors:
+        nz = [(i, c) for i, c in enumerate(v) if c]
+        for i, ci in nz:
+            row = table[i]
+            for j, cj in nz:
+                out[row[j]] += ci * cj
+    return out
+
+
+def reference_gram_matrix(rep):
+    N = dim_forms(rep.n, rep.d)
+    mat = [[Fraction(0)] * N for _ in range(N)]
+    for q in rep.summands:
+        coeffs = q.coeffs
+        for i in range(N):
+            ci = coeffs[i]
+            if ci:
+                row = mat[i]
+                for j in range(N):
+                    if coeffs[j]:
+                        row[j] += ci * coeffs[j]
+    return tuple(tuple(row) for row in mat)
+
+
+def reference_mix(rep, matrix):
+    new = []
+    for j in range(len(rep.summands)):
+        q = Form.zero(rep.n, rep.d)
+        for i, p_i in enumerate(rep.summands):
+            if matrix[i][j]:
+                q = q + p_i.scale(matrix[i][j])
+        new.append(q)
+    return tuple(new)
+
+
+_BIG = 2**3999  # entries of about 4000 bits, the size of a (3,10) basis
+_INT = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(_BIG, 2 * _BIG),
+    st.integers(-2 * _BIG, -_BIG),
+)
+_FRACTION = st.builds(Fraction, _INT, st.sampled_from([1, 2, 3, 4, 9, 35, 2**61 - 1, 10**40]))
+
+
+@st.composite
+def _vector_sets(draw):
+    """(n, d, vectors): all-int or mixed int/Fraction entries, with zero
+    vectors and coordinates that are zero in every vector."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    N = dim_forms(n, d)
+    entry = draw(st.sampled_from([_INT, _INT | _FRACTION]))
+    zero_cols = draw(st.sets(st.integers(0, N - 1), max_size=N))
+    vectors = draw(st.lists(
+        st.just([0] * N) | st.lists(entry, min_size=N, max_size=N), min_size=1, max_size=4))
+    return n, d, [[0 if i in zero_cols else c for i, c in enumerate(v)] for v in vectors]
+
+
+class TestIntegerGramKernel:
+    """The one integer Gram kernel against the pairwise reference loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_vector_sets())
+    def test_sum_of_squares_equals_reference(self, case):
+        n, d, vectors = case
+        got = _sum_of_squares_int(vectors, n, d)
+        assert got == reference_sum_of_squares(vectors, n, d)
+        if all(type(c) is int for v in vectors for c in v):
+            assert all(type(c) is int for c in got)  # a certificate writes them as JSON ints
+
+    @settings(max_examples=150, deadline=None)
+    @given(_vector_sets())
+    def test_gram_tensor_and_target_check_equal_reference(self, case):
+        n, d, vectors = case
+        forms = tuple(Form.from_coeffs(n, d, v) for v in vectors)
+        target = Form.from_coeffs(n, 2 * d, reference_sum_of_squares(vectors, n, d))
+        rep = SosRepresentation(summands=forms, target=target)
+        assert gram_tensor(rep).matrix == reference_gram_matrix(rep)
+        assert SosRepresentation.from_summands(forms).target == target
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_mix_of_a_certificate_equals_reference(self, seed1, seed2):
+        rep = basis_representation(build_witness(3, 3, 6, seed=13))
+        for _ in range(2):  # the second mix starts from Fraction summands
+            matrix = random_rational_orthogonal(len(rep.summands), seed1)
+            mixed = mix_representation(rep, matrix)
+            assert mixed.summands == reference_mix(rep, matrix)
+            coeffs = [q.coeffs for q in mixed.summands]
+            assert _sum_of_squares_int(coeffs, 3, 3) == reference_sum_of_squares(coeffs, 3, 3)
+            assert gram_tensor(mixed).matrix == reference_gram_matrix(mixed)
+            rep, seed1 = mixed, seed2
 
 
 class TestBuildWitness:
@@ -128,6 +233,26 @@ class TestGramTensor:
         rep2 = SosRepresentation.from_summands((x + y, x - y))  # 2x^2 + 2y^2
         with pytest.raises(ValueError):
             gram_equivalent(rep1, rep2)
+
+    def test_same_target_different_tensor_is_not_equivalent(self, tmp_path, capsys):
+        x, y = x_form(2, 0), x_form(2, 1)
+        xx, yy, xy = x * x, y * y, x * y
+        rep1 = SosRepresentation.from_summands((xx + yy,))
+        rep2 = SosRepresentation.from_summands((xx - yy, xy.scale(2)))  # (x^2+y^2)^2 again
+        assert rep1.target == rep2.target
+        assert not gram_equivalent(rep1, rep2)
+        # the same support on both sides, over the denominators 1 and 25
+        rep3 = SosRepresentation.from_summands((xx + yy, xy.scale(2)))
+        rep4 = SosRepresentation.from_summands(
+            (xx - yy, xy.scale(Fraction(14, 5)), xy.scale(Fraction(2, 5))))
+        assert rep3.target == rep4.target
+        assert not gram_equivalent(rep3, rep4)
+        assert gram_equivalent(rep4, rep4)
+
+        save_representation(rep1, tmp_path / "a.json")
+        save_representation(rep2, tmp_path / "b.json")
+        assert cli.main(["gramcheck", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().out == "false\n"
 
     def test_summands_must_square_to_target(self):
         x, y = x_form(2, 0), x_form(2, 1)
