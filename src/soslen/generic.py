@@ -19,12 +19,13 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
-from .linalg import PrimeMatrix, kernel_basis_mod_p, rank_mod_p
+from .linalg import PrimeMatrix, kernel_basis_mod_p, matmul_mod_p, rank_mod_p
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
 from .ring import monomials, product_index_table
 
@@ -119,20 +120,21 @@ def _raw_points(n: int, s: int, bound: int, rng: random.Random) -> list[tuple[in
 
 
 def _eval_matrix_mod_p(points, n: int, e: int, p: int):
-    """s x N_{n,e} matrix of monomial values at the points, reduced mod p."""
-    monos = monomials(n, e)
-    E = np.array(monos, dtype=np.int64)
-    rows = np.empty((len(points), len(monos)), dtype=np.int64)
-    for i, coords in enumerate(points):
-        pw = np.array(
-            [[pow(int(x), k, p) for k in range(e + 1)] for x in coords],
-            dtype=np.int64,
-        )
-        vals = np.ones(len(monos), dtype=np.int64)
-        for v in range(n):
-            vals = vals * pw[v, E[:, v]] % p
-        rows[i] = vals
-    return rows
+    """s x N_{n,e} matrix of monomial values at the points, reduced mod p.
+
+    Coordinates may be any integers that fit int64 (negative ones too).
+    Every value is below p <= 3037000499, so each product of two is below
+    2^63 and the int64 arithmetic is exact.
+    """
+    X = np.asarray(points, dtype=np.int64).reshape(len(points), n).T % p
+    powers = np.ones((n, len(points), e + 1), dtype=np.int64)  # x_v^k mod p
+    for k in range(1, e + 1):
+        powers[:, :, k] = powers[:, :, k - 1] * X % p
+    exponents = np.array(monomials(n, e), dtype=np.int64).reshape(-1, n)
+    vals = powers[0][:, exponents[:, 0]]
+    for v in range(1, n):
+        vals = vals * powers[v][:, exponents[:, v]] % p
+    return vals
 
 
 def _gate_ok(points, n: int, d: int, p: int) -> bool:
@@ -211,28 +213,64 @@ def vanishing_component(sample: PointSample, d: int) -> VanishingComponent:
     return VanishingComponent(dim=dim, basis=basis, sample=sample, report=report)
 
 
+@lru_cache(maxsize=4)
+def _lattice_eval(n: int, d: int, p: int) -> np.ndarray:
+    """N_d x N_2d values mod p of the degree-d monomials (rows) at the
+    lattice points y >= 0, |y| = 2d, read from ``monomials(n, 2d)``
+    (columns).  Read-only, since the cache shares it."""
+    E = np.ascontiguousarray(_eval_matrix_mod_p(monomials(n, 2 * d), n, d, p).T)
+    E.flags.writeable = False
+    return E
+
+
+def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarray:
+    """C(b+1,2) x N_{2d} coefficient rows of the products v_i v_j, i <= j."""
+    b = vecs.shape[0]
+    T = np.asarray(product_index_table(n, d, d), dtype=np.int64).ravel()
+    rows = np.zeros((b * (b + 1) // 2, dim_forms(n, 2 * d)), dtype=np.int64)
+    k = 0
+    for i in range(b):
+        for j in range(i, b):
+            outer = vecs[i][:, None] * vecs[j][None, :] % prime
+            np.add.at(rows[k], T, outer.ravel())
+            k += 1
+    return rows % prime
+
+
 def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
     """Rank mod prime of the C(b+1,2) x N_{2d} matrix of pairwise products.
 
     ``vectors`` are degree-d coefficient vectors (any integers; reduced
     here).  Full row rank certifies that the products are independent over
     the rationals as well.
+
+    For prime > 2d the products are ranked in evaluation form: with G the
+    vectors' values at the lattice points Y = {y >= 0, |y| = 2d}, row
+    (i, j) is G_i * G_j, the values of v_i v_j.  That matrix is the
+    coefficient matrix times the evaluation matrix of the degree-2d
+    monomials at Y, which is invertible mod p, so the ranks are equal.
+    For alpha in Y, the form l_alpha = prod_i prod_{j < alpha_i}
+    (2d x_i - j (x_1 + ... + x_n)) has degree 2d and vanishes at every
+    other point of Y (some y_i < alpha_i there, and the factor j = y_i is
+    0), while l_alpha(alpha) = (2d)^(2d) prod_i alpha_i!, a product of
+    integers at most 2d, so nonzero mod p.  For prime <= 2d (and n >= 2)
+    no set of points over F_p determines the degree-2d forms: x^p y - x y^p,
+    times x^(2d-p-1), vanishes at every point of P^(n-1)(F_p).  There the
+    coefficient rows themselves are ranked.
     """
     N_d = dim_forms(n, d)
-    N_2d = dim_forms(n, 2 * d)
-    T = product_index_table(n, d, d)
-    vecs = np.asarray(
-        [[int(x) % prime for x in v] for v in vectors], dtype=np.int64
-    ).reshape(len(vectors), N_d)
-    b = vecs.shape[0]
-    Ta = np.asarray(T, dtype=np.int64)
-    rows = np.zeros((b * (b + 1) // 2, N_2d), dtype=np.int64)
-    k = 0
-    for i in range(b):
-        for j in range(i, b):
-            outer = vecs[i][:, None] * vecs[j][None, :] % prime
-            np.add.at(rows[k], Ta.ravel(), outer.ravel())
-            k += 1
+    if getattr(vectors, "dtype", None) == np.int64:
+        vecs = vectors.reshape(len(vectors), N_d) % prime
+    else:
+        vecs = np.asarray(
+            [[int(x) % prime for x in v] for v in vectors], dtype=np.int64
+        ).reshape(len(vectors), N_d)
+    if prime <= 2 * d:
+        return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
+    G = matmul_mod_p(vecs, _lattice_eval(n, d, prime), prime)
+    i, j = np.triu_indices(len(G))
+    rows = G[i]
+    rows *= G[j]
     rows %= prime
     return rank_mod_p(PrimeMatrix(rows, prime))
 

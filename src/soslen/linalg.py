@@ -3,9 +3,11 @@
 The prime-field kernels are the performance core of the package.  Moduli
 are limited to primes below 2^31.5, so products of two residues cannot
 overflow int64.  Rank, RREF and kernel share one blocked elimination: a
-per-column int64 sweep finds the pivots of each 64-column panel, and the
+per-column int64 sweep finds the pivots of each 32-column panel, and the
 rest of the matrix is updated by float64 matrix products (BLAS) on centred
 16-bit limbs, whose every partial sum stays below 2^53 and so is exact.
+The same limb product, taken 32 inner columns at a time, is the exact
+modular matrix product ``matmul_mod_p``.
 
 The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
@@ -38,6 +40,7 @@ __all__ = [
     "rank_mod_p",
     "rref_mod_p",
     "kernel_basis_mod_p",
+    "matmul_mod_p",
     "RationalMatrix",
     "rank_rational",
     "kernel_basis_rational",
@@ -67,9 +70,12 @@ class PrimeMatrix:
         self.shape = self.arr.shape
 
 
-# Panel width of the blocked elimination.  It is the inner dimension of every
-# float64 product in _eliminate and enters the exactness argument there.
-_PANEL = 64
+# Panel width of the blocked elimination.  It bounds the inner dimension of
+# every float64 product (_eliminate, matmul_mod_p) and enters the exactness
+# argument in _eliminate.  The per-column sweep grows with it and the BLAS
+# update shrinks; 32 suits the many small matrices of the ik experiments
+# and leaves large eliminations as fast as 64 did.
+_PANEL = 32
 # Rows per block of the trailing update, which bounds its float64 scratch.
 _CHUNK = 256
 _LIMB = 65536.0  # 2^16
@@ -143,15 +149,39 @@ def _reduce(x: np.ndarray, p: int) -> None:
     np.subtract(x, p, out=x, where=x >= p)
 
 
-def _sub_mul(T: np.ndarray, F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: int) -> None:
-    """T <- T - F . (hi * 2^16 + lo) mod p, in place; F centred, T in [0, p)."""
+def _limb_product(F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: int) -> np.ndarray:
+    """F . (hi * 2^16 + lo) modulo p, as a new float64 array of integers of
+    magnitude below 2^52, for F centred and an inner dimension at most
+    ``_PANEL`` (the exactness argument is in ``_eliminate``)."""
     t = F @ hi
     _reduce(t, p)
     t *= _LIMB
     t += F @ lo
+    return t
+
+
+def _sub_mul(T: np.ndarray, F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: int) -> None:
+    """T <- T - F . (hi * 2^16 + lo) mod p, in place; F centred, T in [0, p)."""
+    t = _limb_product(F, hi, lo, p)
     np.subtract(T, t, out=t)
     _reduce(t, p)
     T[...] = t
+
+
+def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A . B mod p as an int64 array in [0, p), exactly, for arrays of
+    residues in [0, p) (int64 or integral float64) and any inner dimension.
+
+    The inner dimension is taken ``_PANEL`` columns at a time, and the sum
+    is reduced after each chunk, so every float64 value stays below 2^53.
+    """
+    F = _centred(A, p)
+    hi, lo = _limbs(B, p)
+    out = np.zeros((A.shape[0], B.shape[1]))
+    for k in range(0, A.shape[1], _PANEL):
+        out += _limb_product(F[:, k : k + _PANEL], hi[k : k + _PANEL], lo[k : k + _PANEL], p)
+        _reduce(out, p)
+    return out.astype(np.int64)
 
 
 def _eliminate(W: np.ndarray, p: int, reduced: bool) -> list[int]:
@@ -175,10 +205,11 @@ def _eliminate(W: np.ndarray, p: int, reduced: bool) -> list[int]:
     float64 holds them exactly.  In each product F X, F is centred to
     |f| <= (p-1)/2 < 2^30.5 and X is split into centred 16-bit limbs
     (``_limbs``), so each term has |f * limb| <= 2^45.5, and with an inner
-    dimension k <= 64 every partial sum of the two GEMMs stays below
-    64 * 2^45.5 = 2^51.5 < 2^53, whatever order BLAS adds in.  All sums
+    dimension k <= 32 every partial sum of the two GEMMs stays below
+    32 * 2^45.5 = 2^50.5 < 2^53, whatever order BLAS adds in.  All sums
     after that are below 2^52 and ``_reduce`` is exact, so every rank is
-    exact over F_p.
+    exact over F_p.  X itself is ``matmul_mod_p`` of B^-1 and R, whose
+    inner dimension is k.
     """
     m, n = W.shape
     pivots = []
@@ -196,8 +227,7 @@ def _eliminate(W: np.ndarray, p: int, reduced: bool) -> list[int]:
         if k and (reduced or (c1 < n and r + k < m)):
             aug = np.hstack([W[r : r + k, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
             _sweep(aug, p, reduced=True)  # leaves B^-1 in the right half
-            X = np.zeros((k, n - c0))  # X = 0 - (-B^-1) R
-            _sub_mul(X, -_centred(aug[:, k:], p), *_limbs(W[r : r + k, c0:], p), p)
+            X = matmul_mod_p(aug[:, k:], W[r : r + k, c0:], p)  # B^-1 R
             hi, lo = _limbs(X, p)
             others = [(r + k, m), (0, r)] if reduced else [(r + k, m)]
             for start, stop in others:

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import importlib.util
 import io
 import json
@@ -119,6 +120,43 @@ class TestIkCommand:
         serial = capsys.readouterr().out
         assert main(["ik", "--sweep", "3", "2", "--seed", "4", "--parallelism", "2"]) == 0
         assert capsys.readouterr().out == serial
+
+
+class TestTinyPrimes:
+    """Primes p <= 2d, where pair products are ranked in coefficient form:
+    the bytes these commands printed before the evaluation form."""
+
+    def test_ik_instance(self, capsys):
+        assert main(["ik", "4", "2", "6", "--prime", "3", "--prime2", "101"]) == 0
+        assert capsys.readouterr().out == (
+            "HilbertH2d n=4 d=2 s=6: Verified computed=25 expected=25 "
+            "(seed=16935642664428343380 primes=3|101)\n"
+        )
+
+    def test_ik_sweep(self, capsys):
+        assert main(["ik", "--sweep", "3", "4", "--prime", "7", "--prime2", "101"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"HilbertH2d n=3 d=4 s={s}: Verified computed={h} expected={h} "
+            f"(seed={seed} primes=7|101)\n"
+            for s, h, seed in (
+                (10, 30, 15060219574575658512),
+                (11, 35, 10859573912541615330),
+                (12, 39, 5543531694706067154),
+                (13, 42, 2859227071111045840),
+                (14, 44, 4982356975779028997),
+            )
+        )
+
+    def test_witness(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["witness", "3", "3", "--prime", "5", "--prime2", "7",
+                     "--out", "cert.json"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("witness n=3 d=3 s=6: length=4 injectivity_rank=10 primes=7 ")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b2ca362c7ece4bd03f11c38369b6c08d7eebc03a75b790283c8409bf2fa92f14")
+        assert hashlib.sha256((tmp_path / "cert.json").read_bytes()).hexdigest() == (
+            "9c705b647684868086886de74000473cebbc240c10f910eda70964c545bc790a")
 
 
 class TestTypicalCommand:

@@ -1,4 +1,9 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soslen.generic as generic
 from soslen.bounds import binomial, dim_forms
@@ -17,7 +22,35 @@ from soslen.generic import (
     typical_length,
     vanishing_component,
 )
-from soslen.linalg import DEFAULT_PRIMES, P1, PrimeMatrix, rank_mod_p
+from soslen.linalg import DEFAULT_PRIMES, P1, P2, PrimeMatrix, kernel_basis_mod_p, rank_mod_p
+from soslen.primes import is_probable_prime
+from soslen.ring import monomials
+from soslen.witness import build_witness
+
+# largest prime whose residues multiply without overflowing int64
+INT64_EDGE_PRIME = 3037000493
+
+
+def next_prime(x: int) -> int:
+    """Smallest prime above x."""
+    q = x + 1
+    while not is_probable_prime(q):
+        q += 1
+    return q
+
+
+def reference_eval_matrix(points, n, e, p):
+    """Monomial values by Python integer powers, one entry at a time."""
+    return [[math.prod(pow(x, k, p) for x, k in zip(pt, mono)) % p
+             for mono in monomials(n, e)] for pt in points]
+
+
+def coefficient_rank(vectors, n, d, p):
+    """Rank of the pair products in coefficient form: the loop the
+    evaluation form replaced for p > 2d, kept for p <= 2d."""
+    vecs = np.array([[int(x) % p for x in v] for v in vectors],
+                    dtype=np.int64).reshape(len(vectors), dim_forms(n, d))
+    return rank_mod_p(PrimeMatrix(generic._pair_product_rows(vecs, n, d, p), p))
 
 
 class TestSampling:
@@ -45,6 +78,108 @@ class TestSampling:
     def test_seed_derivation_is_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
         assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
+
+
+class TestEvalMatrix:
+    @given(
+        n=st.integers(1, 4),
+        half=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_python_powers(self, n, half, data):
+        # negative, zero and repeated coordinates, and any that fit int64;
+        # at the largest prime, p - 1 and -1 make products of (p - 1)^2,
+        # just below 2^63
+        p = data.draw(st.sampled_from((2, 101, INT64_EDGE_PRIME)))
+        e = data.draw(st.sampled_from((0, 1, 2 * half)))
+        coord = st.one_of(
+            st.integers(-1000, 1000),
+            st.sampled_from((0, -1, p - 1, p - 2, 2**63 - 1, -(2**63) + 1)),
+            st.integers(-(2**63) + 1, 2**63 - 1),
+        )
+        points = data.draw(st.lists(st.tuples(*[coord] * n), min_size=0, max_size=6))
+        points += points[:2]
+        got = generic._eval_matrix_mod_p(points, n, e, p)
+        assert got.dtype == np.int64
+        assert got.shape == (len(points), dim_forms(n, e))
+        assert got.tolist() == reference_eval_matrix(points, n, e, p)
+
+    @pytest.mark.parametrize("n, d", [
+        (n, d) for n in range(2, 7) for d in range(1, 7) if dim_forms(n, 2 * d) <= 1000
+    ])
+    def test_lattice_is_unisolvent_above_2d(self, n, d):
+        # the points y >= 0 with |y| = 2d determine every degree-2d form mod
+        # p > 2d, which is what lets pair_products_rank work in values
+        Y = monomials(n, 2 * d)
+        N_2d = dim_forms(n, 2 * d)
+        p = next_prime(2 * d)
+        assert rank_mod_p(PrimeMatrix(generic._eval_matrix_mod_p(Y, n, 2 * d, p), p)) == N_2d
+        # mod 2 <= 2d no point set does: x^2 y - x y^2 vanishes on all of F_2^n
+        assert rank_mod_p(PrimeMatrix(generic._eval_matrix_mod_p(Y, n, 2 * d, 2), 2)) < N_2d
+
+
+@pytest.fixture(scope="module")
+def witness_basis():
+    cert = build_witness(3, 3)
+    return cert.basis
+
+
+@st.composite
+def pair_product_inputs(draw):
+    """(vectors, n, d, p): random residue vectors with zero and repeated
+    ones, b = 0 and 1 among them, or a vanishing basis of sampled points."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    N_d = dim_forms(n, d)
+    p = draw(st.sampled_from((next_prime(2 * d), 101, P1, P2, INT64_EDGE_PRIME)))
+    if draw(st.booleans()):
+        s = draw(st.integers(1, N_d))
+        pts = generic._sample_instance(n, d, s, draw(st.integers(0, 2**32)), (P1,))
+        return kernel_basis_mod_p(PrimeMatrix(generic._eval_matrix_mod_p(pts, n, d, p), p)), n, d, p
+    b = draw(st.sampled_from((0, 1, draw(st.integers(2, 7)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    vecs = rng.integers(0, p, (b, N_d), dtype=np.int64)
+    if b >= 2 and draw(st.booleans()):
+        vecs[draw(st.integers(0, b - 1))] = 0
+    if b >= 2 and draw(st.booleans()):
+        vecs[-1] = vecs[0]
+    return vecs, n, d, p
+
+
+class TestPairProductsRank:
+    """The evaluation form against the coefficient-form rows."""
+
+    @given(pair_product_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_coefficient_form(self, case):
+        vecs, n, d, p = case
+        assert generic.pair_products_rank(vecs, n, d, p) == coefficient_rank(vecs, n, d, p)
+        as_ints = [[int(x) - p if x % 2 else int(x) for x in v] for v in vecs]
+        assert generic.pair_products_rank(as_ints, n, d, p) == coefficient_rank(vecs, n, d, p)
+
+    @pytest.mark.parametrize("p", (7, 101, P1, P2, INT64_EDGE_PRIME))
+    def test_big_integer_witness_basis(self, witness_basis, p):
+        b = len(witness_basis)
+        rank = generic.pair_products_rank(witness_basis, 3, 3, p)
+        assert rank == coefficient_rank(witness_basis, 3, 3, p)
+        if p in DEFAULT_PRIMES:
+            assert rank == b * (b + 1) // 2
+
+    def test_coefficient_rows_only_at_or_below_2d(self, monkeypatch):
+        calls = []
+        rows = generic._pair_product_rows
+        monkeypatch.setattr(generic, "_pair_product_rows", lambda *a: calls.append(a) or rows(*a))
+        eye = np.eye(10, dtype=np.int64)
+        assert generic.pair_products_rank(eye, 3, 3, 7) == 28
+        assert not calls
+        assert generic.pair_products_rank(eye, 3, 3, 5) == 28
+        assert len(calls) == 1
+
+    def test_fallback_at_small_prime(self):
+        # mod 5 <= 2d = 6 the lattice points do not separate degree-6 forms;
+        # ranked in values, the 55 products of all cubic monomials give 22
+        assert generic.pair_products_rank(np.eye(10), 3, 3, 5) == 28
 
 
 class TestVanishingComponent:

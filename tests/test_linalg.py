@@ -349,25 +349,27 @@ def _mod_product(B, C, p):
     return A
 
 
-PANEL_EDGE_COLUMNS = (63, 64, 65, 128, 129)
+PANEL_EDGE_COLUMNS = (31, 32, 33, 63, 64, 65, 96, 97, 128, 129)
 
 
 @st.composite
 def panel_instances(draw):
     """(A, p, k): A = B.C mod p of rank exactly k with up to 200 columns.
 
-    Built as in known_rank_instances, then one block of columns is
-    inserted at a multiple of 64: all zero ("zero_panel") or a copy of the
-    first columns ("duplicated_block"), so that whole panels hold no pivot.
-    Zero rows on top, or every row twice, make the leading rows of a panel
-    dependent, so its pivots need row swaps.
+    Built as in known_rank_instances, then one block of columns, as wide as
+    a unit of 64 or of ``_PANEL`` columns, is inserted at a multiple of that
+    unit: all zero ("zero_panel") or a copy of the first columns
+    ("duplicated_block"), so that whole panels hold no pivot.  Zero rows on
+    top, or every row twice, make the leading rows of a panel dependent, so
+    its pivots need row swaps.
     """
     p = draw(st.sampled_from((101, P1, P2, INT64_EDGE_PRIME)))
     shape = draw(st.sampled_from(("tall", "wide", "zero", "equal_rows")))
     layout = draw(st.sampled_from(("plain", "zero_panel", "duplicated_block")))
     n = draw(st.one_of(st.sampled_from(PANEL_EDGE_COLUMNS), st.integers(1, 200)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w = 0 if layout == "plain" else min(64, n // 2)
+    unit = draw(st.sampled_from((64, linalg._PANEL)))
+    w = 0 if layout == "plain" else min(unit, n // 2)
     n0 = n - w
     if shape == "tall":
         m = draw(st.integers(n, n + 30))
@@ -389,10 +391,10 @@ def panel_instances(draw):
     C0[np.arange(k), np.arange(k)] = 1
     C0 = C0[:, rng.permutation(n0)]
     if layout == "zero_panel":
-        at = 64 * draw(st.integers(0, n0 // 64))
+        at = unit * draw(st.integers(0, n0 // unit))
         block = np.zeros((k, w), dtype=np.int64)
     else:
-        at = 64 * draw(st.integers(1, n0 // 64)) if n0 >= 64 else n0
+        at = unit * draw(st.integers(1, n0 // unit)) if n0 >= unit else n0
         block = C0[:, :w]
     C = np.hstack([C0[:, :at], block, C0[:, at:]])
     A = _mod_product(B, C, p)
@@ -450,6 +452,30 @@ class TestBlockedAgainstReference:
             for i in range(5)
         ]
         assert out.astype(np.int64).tolist() == expected
+
+    @pytest.mark.parametrize("inner", (1, 31, 32, 33, 84, 252))
+    def test_matmul_mod_p_exact_for_any_inner_dimension(self, inner):
+        # Entries near (p-1)/2 and one sign per row or column, so that an
+        # unchunked product over more than 32 inner columns would pass 2^53.
+        p = INT64_EDGE_PRIME
+        h = (p - 1) // 2
+        rng = np.random.default_rng(inner)
+        A = rng.integers(h - 1000, h + 1, (5, inner), dtype=np.int64)
+        B = rng.integers(h - 1000, h + 1, (inner, 7), dtype=np.int64)
+        A[3:] = p - A[3:]
+        B[:, :3] = p - B[:, :3]
+        expected = [
+            [sum(int(A[i, t]) * int(B[t, j]) for t in range(inner)) % p for j in range(7)]
+            for i in range(5)
+        ]
+        for left, right in ((A, B), (A.astype(np.float64), B.astype(np.float64))):
+            out = linalg.matmul_mod_p(left, right, p)
+            assert out.dtype == np.int64 and out.tolist() == expected
+
+    def test_matmul_mod_p_empty_inner_dimension(self):
+        out = linalg.matmul_mod_p(np.zeros((3, 0), dtype=np.int64),
+                                  np.zeros((0, 4), dtype=np.int64), 101)
+        assert out.dtype == np.int64 and out.tolist() == [[0] * 4] * 3
 
 
 def _reference_divide_by_content(row):
