@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import DegreeParams, Surd, bounds_row, bounds_table, dim_forms
 from .errors import CertificationError, GenericityError, GuardError, InternalCheckError
-from .fileio import write_atomic
+from .fileio import canonical_json, write_atomic
 from .primes import DEFAULT_SEED, P1, P2, _validate_modulus
 from .ring import Form, form_to_text
 
@@ -107,7 +107,7 @@ class RunConfig:
         }
 
     def cache_key(self) -> str:
-        return hashlib.sha256(_canonical_json(self.cache_payload()).encode()).hexdigest()
+        return hashlib.sha256(canonical_json(self.cache_payload()).encode()).hexdigest()
 
     def param(self, name, required=True):
         """Merge the positional and flag spellings of a parameter."""
@@ -170,10 +170,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 # ---------------------------------------------------------------- rendering
 
 
@@ -215,7 +211,7 @@ def _bounds_row_dict(row) -> dict:
 
 def _render_bounds(rows, fmt: str) -> str:
     if fmt == "json":
-        return _canonical_json([_bounds_row_dict(r) for r in rows])
+        return canonical_json([_bounds_row_dict(r) for r in rows])
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -288,7 +284,7 @@ def _report_line(rep: generic.DimensionReport) -> str:
 
 def _render_reports(reports, fmt: str) -> str:
     if fmt == "json":
-        return _canonical_json([r.to_dict() for r in reports])
+        return canonical_json([r.to_dict() for r in reports])
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -356,7 +352,7 @@ def cmd_typical(cfg: RunConfig):
         trials=cfg.trials, allow_large=cfg.allow_large,
     )
     if cfg.format == "json":
-        out = _canonical_json(result.to_dict())
+        out = canonical_json(result.to_dict())
     elif cfg.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -383,7 +379,7 @@ def cmd_witness(cfg: RunConfig):
         raise ValueError(f"--out directory {Path(out).parent} does not exist")
     cert = witness.build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes)
     out_path = out or f"witness_n{n}_d{d}_s{cert.s}.json"
-    content = _canonical_json(cert.to_dict())
+    content = canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
     summary = (
         f"witness n={n} d={d} s={cert.s}: length={cert.length} "
@@ -396,7 +392,7 @@ def cmd_witness(cfg: RunConfig):
 def cmd_mix(cfg: RunConfig):
     rep = witness.load_sos_file(cfg.params["infile"])
     mixed = witness.random_mix(rep, cfg.seed)
-    content = _canonical_json(witness.representation_to_dict(mixed))
+    content = canonical_json(witness.representation_to_dict(mixed))
     out = cfg.params["out"]
     summary = f"mix {cfg.params['infile']} -> {out} ({len(mixed.summands)} summands)\n"
     return summary, EXIT_OK, {out: content}
@@ -458,7 +454,7 @@ def _cache_store(path: str, record: dict) -> None:
     the file flushes the record and then releases the lock."""
     import fcntl  # here, not at the top: a cache hit never stores
 
-    line = _canonical_json(record).encode()
+    line = canonical_json(record).encode()
     with open(path, "a+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         if fh.seek(0, os.SEEK_END):
@@ -575,7 +571,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"soslen: internal check violated: {exc}", file=sys.stderr)
         if exc.report is not None:
-            print(_canonical_json(exc.report.to_dict()), file=sys.stderr, end="")
+            print(canonical_json(exc.report.to_dict()), file=sys.stderr, end="")
         return EXIT_INTERNAL
 
 

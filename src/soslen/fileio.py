@@ -1,8 +1,17 @@
-"""Whole-file writes that a crash cannot leave half done."""
+"""Canonical JSON text and whole-file writes that a crash cannot leave
+half done."""
 
 from __future__ import annotations
 
+import json
 import os
+
+
+def canonical_json(obj) -> str:
+    """One line of JSON with sorted keys and no spaces, so equal values give
+    equal bytes: the text of certificates, representation files, cache
+    records and cache keys."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_atomic(path, text: str) -> None:

@@ -259,12 +259,7 @@ def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
     coefficient rows themselves are ranked.
     """
     N_d = dim_forms(n, d)
-    if getattr(vectors, "dtype", None) == np.int64:
-        vecs = vectors.reshape(len(vectors), N_d) % prime
-    else:
-        vecs = np.asarray(
-            [[int(x) % prime for x in v] for v in vectors], dtype=np.int64
-        ).reshape(len(vectors), N_d)
+    vecs = PrimeMatrix(vectors, prime, cols=N_d).arr
     if prime <= 2 * d:
         return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
     G = matmul_mod_p(vecs, _lattice_eval(n, d, prime), prime)

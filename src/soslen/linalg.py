@@ -13,9 +13,7 @@ The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
 time in one batched Gauss-Jordan sweep, and the kernel vectors scaled by
 the determinant of the pivot block, integers, are combined by CRT until an
-exact check pins the canonical basis.  The rational rank, needed only as
-a fallback, is fraction-free elimination (integer cross-multiplication
-with per-row content extraction).
+exact check pins the canonical basis.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ class PrimeMatrix:
         if isinstance(rows, np.ndarray):
             if rows.ndim != 2:
                 raise ValueError("expected a 2-d array")
-            self.arr = rows.astype(np.int64) % p
+            self.arr = np.asarray(rows, dtype=np.int64) % p
         else:
             reduced = [[int(x) % p for x in row] for row in rows]
             ncols = len(reduced[0]) if reduced else cols
@@ -288,49 +286,6 @@ def _integer_rows(M: RationalMatrix) -> list[list[int]]:
     return out
 
 
-def _divide_by_content(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-        if g == 1:
-            return row
-    return row if g <= 1 else [x // g for x in row]
-
-
-def _echelon_integer(rows: list[list[int]]):
-    """Fraction-free row echelon form; returns (echelon rows, pivot columns)."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            if f:
-                rows[i] = _divide_by_content(
-                    [pv * a - f * b for a, b in zip(rows[i], rows[r])]
-                )
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
-
-
-def rank_rational(M: RationalMatrix) -> int:
-    """Exact rank over the rationals."""
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        return 0
-    _, pivots = _echelon_integer(_integer_rows(M))
-    return len(pivots)
-
-
 # Primes per elimination stack of the multimodular kernel; it bounds the
 # (primes, rows, cols) int64 stack and so the kernel's memory.
 _STACK = 16
@@ -440,8 +395,10 @@ def _crt_extend(modulus: int, values: list[int], primes, X: np.ndarray):
 
 def _canonical(v: list[int]) -> list[int]:
     """Divide by the content and make the leading nonzero entry positive."""
-    v = _divide_by_content(v)
-    return [-x for x in v] if next(x for x in v if x) < 0 else v
+    g = math.gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
 
 
 def kernel_basis_rational(M: RationalMatrix) -> list[list[int]]:
@@ -513,3 +470,9 @@ def kernel_basis_rational(M: RationalMatrix) -> list[list[int]]:
             basis.append(_canonical(w))
         else:
             return basis
+
+
+def rank_rational(M: RationalMatrix) -> int:
+    """Exact rank over the rationals: the column count less the size of the
+    exact kernel basis."""
+    return M.shape[1] - len(kernel_basis_rational(M))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .bounds import binomial, dim_forms
 
@@ -194,6 +195,25 @@ def multiply(f: Form, g: Form) -> Form:
     return Form(f.n, f.degree + g.degree, tuple(out))
 
 
+def _eval_rows_int(points, n: int, e: int) -> list[list]:
+    """Exact evaluation matrix: one row of degree-e monomial values per
+    point, in index order; integers for integer coordinates, exact for
+    int or Fraction ones."""
+    monos = monomials(n, e)
+    rows = []
+    for coords in points:
+        pw = [[x**k for k in range(e + 1)] for x in coords]
+        row = []
+        for expo in monos:
+            val = 1
+            for v, a in enumerate(expo):
+                if a:
+                    val *= pw[v][a]
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
 def evaluate(f: Form, point: Point):
     """Value of f at the point's coordinate representative.
 
@@ -202,24 +222,8 @@ def evaluate(f: Form, point: Point):
     """
     if point.n != f.n:
         raise ValueError(f"point has {point.n} coordinates, form has {f.n} variables")
-    # powers[v][k] = coords[v] ** k
-    powers = []
-    for x in point.coords:
-        x = Fraction(x)
-        row = [Fraction(1)]
-        for _ in range(f.degree):
-            row.append(row[-1] * x)
-        powers.append(row)
-    acc = Fraction(0)
-    for c, expo in zip(f.coeffs, monomials(f.n, f.degree)):
-        if not c:
-            continue
-        term = c
-        for v, a in enumerate(expo):
-            if a:
-                term *= powers[v][a]
-        acc += term
-    return acc
+    (row,) = _eval_rows_int([point.coords], f.n, f.degree)
+    return sum(map(mul, f.coeffs, row), Fraction(0))
 
 
 def _coeff_to_text(c) -> str:

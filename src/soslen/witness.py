@@ -40,9 +40,9 @@ from pathlib import Path
 
 from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
-from .fileio import write_atomic
+from .fileio import canonical_json, write_atomic
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
-from .ring import Form, Point, monomials, product_index_table
+from .ring import Form, Point, _eval_rows_int, product_index_table
 
 __all__ = [
     "COORD_BOUND",
@@ -264,23 +264,6 @@ class LengthCertificate:
         )
 
 
-def _eval_rows_int(points, n: int, e: int) -> list[list[int]]:
-    """Exact integer evaluation matrix: one row of monomial values per point."""
-    monos = monomials(n, e)
-    rows = []
-    for coords in points:
-        pw = [[x**k for k in range(e + 1)] for x in coords]
-        row = []
-        for expo in monos:
-            val = 1
-            for v, a in enumerate(expo):
-                if a:
-                    val *= pw[v][a]
-            row.append(val)
-        rows.append(row)
-    return rows
-
-
 def build_witness(
     n: int,
     d: int,
@@ -486,12 +469,8 @@ def random_mix(rep: SosRepresentation, seed: int) -> SosRepresentation:
     return mix_representation(rep, random_rational_orthogonal(len(rep.summands), seed))
 
 
-def _canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def save_certificate(cert: LengthCertificate, path) -> None:
-    write_atomic(path, _canonical_json(cert.to_dict()))
+    write_atomic(path, canonical_json(cert.to_dict()))
 
 
 def load_certificate(path) -> LengthCertificate:
@@ -519,7 +498,7 @@ def representation_from_dict(data: dict) -> SosRepresentation:
 
 
 def save_representation(rep: SosRepresentation, path) -> None:
-    write_atomic(path, _canonical_json(representation_to_dict(rep)))
+    write_atomic(path, canonical_json(representation_to_dict(rep)))
 
 
 def load_sos_file(path) -> SosRepresentation:

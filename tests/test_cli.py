@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import hashlib
@@ -218,9 +219,35 @@ class TestStandaloneVerifierMalformed:
             assert lines[0].startswith(f"{path}: INVALID (malformed certificate: ")
 
 
+VERIFIER = Path(__file__).resolve().parents[1] / "scripts" / "verify_certificate.py"
+
+
+class TestStandaloneVerifierIndependence:
+    """The verifier shares no code with the package whose certificates it
+    checks: it imports the standard library only and runs without the
+    package on the path."""
+
+    def test_imports_only_the_standard_library(self):
+        tree = ast.parse(VERIFIER.read_text())
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "." for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+        assert modules
+        assert [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names] == []
+
+    def test_runs_isolated_on_a_package_certificate(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_certificate(build_witness(3, 3), path)
+        # -I ignores PYTHONPATH and leaves the script's directory off sys.path
+        proc = subprocess.run([sys.executable, "-I", str(VERIFIER), str(path)],
+                              capture_output=True, text=True, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "certificate valid" in proc.stdout
+
+
 def run_verifier(*paths):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_certificate.py"
-    return subprocess.run([sys.executable, str(script), *map(str, paths)],
+    return subprocess.run([sys.executable, str(VERIFIER), *map(str, paths)],
                           capture_output=True, text=True)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,19 @@ class TestPrimeConstants:
             PrimeMatrix([[1]], 2**62)
         with pytest.raises(ValueError):
             PrimeMatrix([[1]], 91)  # 7 * 13
+
+
+class TestPrimeMatrix:
+    def test_int64_input_is_reduced_in_one_allocation(self):
+        rows = np.random.default_rng(3).integers(-(2**40), 2**40, (400, 300), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            M = PrimeMatrix(rows, P1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * rows.nbytes
+        assert M.arr.dtype == np.int64 and np.array_equal(M.arr, rows % P1)
 
 
 class TestRankModP:
@@ -173,7 +187,7 @@ class TestRationalKernel:
         ]
         M = RationalMatrix(rows)
         kern = kernel_basis_rational(M)
-        assert len(kern) == n - rank_rational(M)
+        assert len(kern) == n - reference_rank_rational(M)
         for v in kern:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
@@ -485,15 +499,12 @@ def _reference_divide_by_content(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def reference_kernel_basis_rational(M):
-    """The fraction-free kernel the multimodular one replaced, kept here as
-    an independent oracle: integer row echelon form with per-row content
-    division, back-substitution in exact fractions, then each vector
-    cleared of denominators, divided by its content and made to lead with
-    a positive entry."""
+def reference_echelon_rational(M):
+    """Fraction-free row echelon form of a RationalMatrix, the
+    elimination the multimodular kernel and rank replaced: integer
+    cross-multiplication with per-row content division.  Returns the
+    echelon rows and the pivot columns."""
     m, n = M.shape
-    if m == 0 or n == 0:
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     rows = []
     for row in M.rows:
         L = math.lcm(*(x.denominator for x in row))
@@ -516,7 +527,23 @@ def reference_kernel_basis_rational(M):
         r += 1
         if r == m:
             break
-    ech = rows[:r]
+    return rows[:r], pivots
+
+
+def reference_rank_rational(M):
+    """Exact rank by fraction-free elimination, independent of linalg."""
+    return len(reference_echelon_rational(M)[1])
+
+
+def reference_kernel_basis_rational(M):
+    """The fraction-free kernel the multimodular one replaced, kept here as
+    an independent oracle: the echelon form above, back-substitution in
+    exact fractions, then each vector cleared of denominators, divided by
+    its content and made to lead with a positive entry."""
+    m, n = M.shape
+    if m == 0 or n == 0:
+        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    ech, pivots = reference_echelon_rational(M)
     free = [c for c in range(n) if c not in set(pivots)]
     basis = []
     for fc in free:
@@ -559,6 +586,26 @@ def rational_kernel_instances(draw):
     if draw(st.booleans()):
         rows = [[Fraction(x, rng.randint(1, 2**bits)) for x in row] for row in rows]
     return RationalMatrix(rows, cols=n)
+
+
+class TestRationalRank:
+    """The rational rank is the column count less the multimodular kernel's size."""
+
+    @given(rational_kernel_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_reference(self, M):
+        assert rank_rational(M) == M.shape[1] - len(reference_kernel_basis_rational(M))
+
+    def test_both_default_primes_unlucky(self):
+        # rank 1 modulo P1 and P2, which the kernel's first prime block holds
+        rows = [[P1 * P2, 0], [0, 1]]
+        assert {P1, P2} <= set(linalg._prime_block(0))
+        assert [rank_mod_p(PrimeMatrix(rows, p)) for p in (P1, P2)] == [1, 1]
+        assert rank_rational(RationalMatrix(rows)) == 2
+
+    def test_empty_shapes(self):
+        assert rank_rational(RationalMatrix([], cols=3)) == 0
+        assert rank_rational(RationalMatrix([[], []])) == 0
 
 
 class TestMultimodularKernel:
