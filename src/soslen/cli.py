@@ -12,23 +12,18 @@ without recomputation.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import importlib.util
 import io
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
-from .bounds import DegreeParams, Surd, bounds_row, bounds_table, dim_forms
 from .errors import CertificationError, GenericityError, GuardError, InternalCheckError
 from .fileio import canonical_json, write_atomic
 from .primes import DEFAULT_SEED, P1, P2, _validate_modulus
-from .ring import Form, form_to_text
 
 
 def _lazy_submodule(name: str):
@@ -37,7 +32,7 @@ def _lazy_submodule(name: str):
 
     The numeric modules import numpy, whose start-up costs more than a
     whole bounds command or cache hit; loaded this way, only the commands
-    that reach linear algebra pay for it.  Calls go through the module
+    that use a module pay for it.  Calls go through the module
     (``generic.ik_verify(...)``), so they resolve at call time.
     """
     full = f"{__package__}.{name}"
@@ -52,9 +47,12 @@ def _lazy_submodule(name: str):
     return module
 
 
-# linalg is registered too, though only generic and witness call it, so that
-# importing this module leaves the same numeric modules in sys.modules as an
-# eager import did
+# bounds and ring are lazy too, so that --version and cache hits load neither
+# them nor the dataclasses and fractions they import; linalg is registered
+# though only generic and witness call it, so that importing this module
+# leaves the same soslen modules in sys.modules as an eager import did
+bounds = _lazy_submodule("bounds")
+ring = _lazy_submodule("ring")
 linalg = _lazy_submodule("linalg")
 generic = _lazy_submodule("generic")
 witness = _lazy_submodule("witness")
@@ -75,24 +73,19 @@ _COMMON_ARGS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple(
+    "RunConfig",
+    "command params seed primes trials parallelism format cache allow_large",
+)):
     """One resolved invocation: command, its parameters, and the common knobs.
 
     The seed defaults to a fixed constant so runs replay bit-for-bit;
     passing --seed random opts into entropy (the drawn value still lands
-    in the cache key, so the run stays replayable).
+    in the cache key, so the run stays replayable).  A named tuple rather
+    than a dataclass, so that start-up does not import dataclasses.
     """
 
-    command: str
-    params: dict
-    seed: int | None
-    primes: tuple[int, ...] | None
-    trials: int | None
-    parallelism: int
-    format: str
-    cache: str | None
-    allow_large: bool
+    __slots__ = ()
 
     def cache_payload(self) -> dict:
         return {
@@ -107,6 +100,8 @@ class RunConfig:
         }
 
     def cache_key(self) -> str:
+        import hashlib  # here, not at the top: only a cached run needs a key
+
         return hashlib.sha256(canonical_json(self.cache_payload()).encode()).hexdigest()
 
     def param(self, name, required=True):
@@ -125,6 +120,8 @@ def _resolve_seed(raw) -> int:
     if raw is None:
         return DEFAULT_SEED
     if isinstance(raw, str) and raw.lower() == "random":
+        import random
+
         return random.SystemRandom().randrange(2**63)
     return int(raw)
 
@@ -173,7 +170,18 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- rendering
 
 
-def _surd_dict(s: Surd) -> dict:
+def _csv_text(header, rows) -> str:
+    """The header and the rows as CSV text, one line per row."""
+    import csv  # here, not at the top: only --format csv writes it
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _surd_dict(s: bounds.Surd) -> dict:
     return {
         "add": s.add,
         "sign": s.sign,
@@ -183,7 +191,7 @@ def _surd_dict(s: Surd) -> dict:
     }
 
 
-def _surd_text(s: Surd) -> str:
+def _surd_text(s: bounds.Surd) -> str:
     exact = s.exact()
     if exact is not None:
         return str(exact)
@@ -213,24 +221,21 @@ def _render_bounds(rows, fmt: str) -> str:
     if fmt == "json":
         return canonical_json([_bounds_row_dict(r) for r in rows])
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
+        return _csv_text(
             [
                 "n", "d", "N_d", "N_2d", "lambda_ceil", "lambda_approx",
                 "Lambda_floor", "Lambda_approx", "leep_L", "s_min", "theta",
                 "upper_best", "upper_source",
-            ]
-        )
-        for r in rows:
-            w.writerow(
+            ],
+            [
                 [
                     r.params.n, r.params.d, r.N_d, r.N_2d, r.lam_ceil,
                     r.lam.approx(6), r.Lam_floor, r.Lam.approx(6), r.leep_L,
                     r.s_min, r.theta, r.upper_best, r.upper_source.value,
                 ]
-            )
-        return buf.getvalue()
+                for r in rows
+            ],
+        )
     lines = []
     for r in rows:
         lines.append(f"bounds n={r.params.n} d={r.params.d}:")
@@ -250,7 +255,7 @@ def paper_table_text() -> str:
     ds = list(_PAPER_TABLE_DS)
     blocks = []
     for n in _PAPER_TABLE_NS:
-        rows = [bounds_row(DegreeParams(n, d)) for d in ds]
+        rows = [bounds.bounds_row(bounds.DegreeParams(n, d)) for d in ds]
         blocks.append(
             [
                 (f"s_min({n},d):", [r.s_min for r in rows]),
@@ -286,20 +291,17 @@ def _render_reports(reports, fmt: str) -> str:
     if fmt == "json":
         return canonical_json([r.to_dict() for r in reports])
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["quantity", "n", "d", "s", "r", "computed", "expected", "status", "seed", "primes"]
-        )
-        for rep in reports:
-            w.writerow(
+        return _csv_text(
+            ["quantity", "n", "d", "s", "r", "computed", "expected", "status", "seed", "primes"],
+            [
                 [
                     rep.quantity.value, rep.n, rep.d, rep.s, rep.r, rep.computed,
                     rep.expected, rep.status.value, rep.seed,
                     "|".join(str(p) for p in rep.primes),
                 ]
-            )
-        return buf.getvalue()
+                for rep in reports
+            ],
+        )
     return "\n".join(_report_line(r) for r in reports) + "\n"
 
 
@@ -309,7 +311,7 @@ def _render_reports(reports, fmt: str) -> str:
 def cmd_bounds(cfg: RunConfig):
     n = cfg.param("n")
     d = cfg.param("d")
-    rows = [bounds_row(DegreeParams(n, d))]
+    rows = [bounds.bounds_row(bounds.DegreeParams(n, d))]
     return _render_bounds(rows, cfg.format), EXIT_OK, {}
 
 
@@ -320,7 +322,7 @@ def cmd_table(cfg: RunConfig):
     d_min, d_max = cfg.params["d_min"], cfg.params["d_max"]
     if n_min < 3 or d_min < 2 or n_max < n_min or d_max < d_min:
         raise ValueError("table ranges need n >= 3 and d >= 2")
-    rows = bounds_table(range(n_min, n_max + 1), range(d_min, d_max + 1))
+    rows = bounds.bounds_table(range(n_min, n_max + 1), range(d_min, d_max + 1))
     return _render_bounds(rows, cfg.format), EXIT_OK, {}
 
 
@@ -328,7 +330,7 @@ def cmd_ik(cfg: RunConfig):
     n = cfg.param("n")
     d = cfg.param("d")
     if cfg.params["sweep"]:
-        s_values = range(dim_forms(n, d - 1), dim_forms(n, d))
+        s_values = range(bounds.dim_forms(n, d - 1), bounds.dim_forms(n, d))
     else:
         s_values = [cfg.param("s")]
     jobs = [
@@ -354,12 +356,11 @@ def cmd_typical(cfg: RunConfig):
     if cfg.format == "json":
         out = canonical_json(result.to_dict())
     elif cfg.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "d", "r_found", "certified_lower", "fos_cap", "status"])
-        w.writerow([result.n, result.d, result.r_found, result.certified_lower,
-                    result.fos_cap, result.status.value])
-        out = buf.getvalue()
+        out = _csv_text(
+            ["n", "d", "r_found", "certified_lower", "fos_cap", "status"],
+            [[result.n, result.d, result.r_found, result.certified_lower,
+              result.fos_cap, result.status.value]],
+        )
     else:
         out = (
             f"typical n={n} d={d}: r_found={result.r_found} "
@@ -381,10 +382,11 @@ def cmd_witness(cfg: RunConfig):
     out_path = out or f"witness_n{n}_d{d}_s{cert.s}.json"
     content = canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
+    form = ring.Form.from_coeffs(n, 2 * d, cert.witness)
     summary = (
         f"witness n={n} d={d} s={cert.s}: length={cert.length} "
         f"injectivity_rank={cert.injectivity_rank} primes={primes} -> {out_path}\n"
-        f"witness form: {form_to_text(Form.from_coeffs(n, 2 * d, cert.witness))}\n"
+        f"witness form: {ring.form_to_text(form)}\n"
     )
     return summary, EXIT_OK, {out_path: content}
 
@@ -544,8 +546,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        key = cfg.cache_key()
         if cfg.cache:
+            key = cfg.cache_key()
             rec = _cache_lookup(cfg.cache, key)
             if rec is not None:
                 for path, content in rec.get("files", {}).items():

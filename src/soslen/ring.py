@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .bounds import binomial, dim_forms
 
@@ -89,9 +89,8 @@ def product_index_table(n: int, e1: int, e2: int) -> tuple[tuple[int, ...], ...]
     """table[i][j] = index of (monomial i of degree e1) * (monomial j of degree e2)."""
     m1 = monomials(n, e1)
     m2 = monomials(n, e2)
-    return tuple(
-        tuple(mono_rank(tuple(a + b for a, b in zip(u, v))) for v in m2) for u in m1
-    )
+    index = {m: i for i, m in enumerate(monomials(n, e1 + e2))}
+    return tuple(tuple(index[tuple(map(add, u, v))] for v in m2) for u in m1)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,9 @@ def test_target_resolves_to_a_callable(span, module, path, modules):
 
 def test_tracer_installs_after_importing_only_the_cli():
     """The in-process benchmark imports ``soslen.cli`` alone and then looks up
-    every target's module in ``sys.modules``; the CLI loads the numeric
-    modules lazily, and they must be registered all the same."""
+    every target's module in ``sys.modules``; the CLI loads ``bounds``,
+    ``ring`` and the numeric modules lazily, and they must be registered all
+    the same."""
     code = f"""
 import importlib.util
 import soslen.cli as cli
@@ -71,12 +72,14 @@ verifier = load("verify_certificate", {str(ROOT / "scripts" / "verify_certificat
 spans = tracer.Tracer()
 spans.install(tracer.installed_modules(verifier))
 assert cli.main(["ik", "3", "2", "5", "--seed", "4"]) == 0
+assert cli.main(["bounds", "3", "4"]) == 0
 calls = spans.metrics(1.0)[1]["calls"]
-print(calls["cli.handler"], calls["generic.ik_verify"], calls["linalg.rank_mod_p"] > 0)
+print(calls["cli.handler"], calls["generic.ik_verify"], calls["linalg.rank_mod_p"] > 0,
+      calls["bounds.bounds_row"])
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "1 1 True"
+    assert proc.stdout.splitlines()[-1] == "2 1 True 1"

@@ -171,6 +171,32 @@ class TestTypicalCommand:
         assert "r_found=None" in capsys.readouterr().out
 
 
+CSV_HEADER = (
+    "n,d,N_d,N_2d,lambda_ceil,lambda_approx,Lambda_floor,Lambda_approx,"
+    "leep_L,s_min,theta,upper_best,upper_source\n"
+)
+
+
+class TestCsvOutput:
+    """The exact CSV bytes of the bounds, table and typical commands."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["bounds", "3", "4"],
+         CSV_HEADER + "3,4,15,45,4,3.242349,9,9.000000,6,10,5,6,LeepL\n"),
+        (["table", "--n-min", "3", "--n-max", "4", "--d-min", "2", "--d-max", "3"],
+         CSV_HEADER
+         + "3,2,6,15,3,3.000000,5,5.000000,4,3,3,4,LeepL\n"
+         "3,3,10,28,4,3.134540,7,7.000000,5,6,4,5,LeepL\n"
+         "4,2,10,35,5,4.155711,7,7.881527,7,5,5,7,LambdaFloor\n"
+         "4,3,20,84,5,4.617619,12,12.471121,11,12,8,11,LeepL\n"),
+        (["typical", "3", "2"],
+         "n,d,r_found,certified_lower,fos_cap,status\n3,2,3,3,4,Exact\n"),
+    ])
+    def test_bytes(self, argv, expected, capsys):
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestWitnessFlow:
     def test_witness_mix_gramcheck(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

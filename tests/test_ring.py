@@ -14,6 +14,7 @@ from soslen.ring import (
     mono_rank,
     mono_unrank,
     monomials,
+    product_index_table,
 )
 
 PRIMES = (101, 2147483647, 2**61 - 1)
@@ -56,6 +57,17 @@ class TestMonomialIndexing:
                     assert mono_unrank(n, e, idx) == m
                 checked += N
         assert checked > 10**5  # the sweep actually covered many monomials
+
+    def test_product_index_table_matches_mono_rank(self):
+        for n in range(1, 7):
+            for e1 in range(6):
+                for e2 in range(6):
+                    oracle = tuple(
+                        tuple(mono_rank(tuple(a + b for a, b in zip(u, v)))
+                              for v in monomials(n, e2))
+                        for u in monomials(n, e1)
+                    )
+                    assert product_index_table(n, e1, e2) == oracle, (n, e1, e2)
 
     def test_rank_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@
 
 Commands that need no linear algebra (``--version``, ``bounds``, ``table``,
 ``mix``, ``gramcheck`` and every cache hit) must never import numpy; the
-numeric modules load on first use.  Each test starts its own interpreter, because in this one every
+numeric modules load on first use.  ``--version`` and cache hits go further
+and load neither ``bounds`` nor ``ring``, nor the standard modules only
+they need.  Each test starts its own interpreter, because in this one every
 module is already loaded.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +29,26 @@ try:
 finally:
     sys.stderr.write("numpy loaded: %s\\n" % ("numpy" in sys.modules))
 """
+
+
+# runs ``python -m soslen.cli ARGS`` and reports afterwards, as one JSON line,
+# the modules it imported beyond those of a bare interpreter and the type of
+# soslen.bounds and soslen.ring (``_LazyModule`` until first attribute access)
+MODULES_PROBE = """
+import sys
+before = set(sys.modules)
+import json, runpy
+try:
+    runpy.run_module("soslen.cli", run_name="__main__", alter_sys=True)
+finally:
+    lazy = {m: type(sys.modules[m]).__name__
+            for m in ("soslen.bounds", "soslen.ring") if m in sys.modules}
+    sys.stderr.write(json.dumps({"new": sorted(set(sys.modules) - before),
+                                 "lazy": lazy}) + "\\n")
+"""
+
+# standard modules that only the bounds, ring and CSV code paths need
+EXACT_MODULES = ("dataclasses", "fractions", "decimal", "csv")
 
 
 def _env():
@@ -76,6 +99,25 @@ def test_cache_hit_skips_numpy(argv, files, tmp_path):
     assert (code, second) == (0, first)
     assert not numpy
     assert {name: (tmp_path / name).read_bytes() for name in files} == written
+
+
+@pytest.mark.parametrize(
+    "argv, cached",
+    [(["--version"], False), (["bounds", "3", "4"], True),
+     (["witness", "3", "3", "--out", "F"], True)],
+)
+def test_version_and_cache_hits_skip_bounds_and_ring(argv, cached, tmp_path):
+    if cached:
+        argv = [*argv, "--cache", "cache.jsonl"]
+        code, first, _ = soslen(*argv, cwd=tmp_path)  # the miss fills the cache
+        assert code == 0
+    proc = python("-c", MODULES_PROBE, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    if cached:
+        assert proc.stdout == first
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert [m for m in report["new"] if m in EXACT_MODULES] == []
+    assert report["lazy"] == {"soslen.bounds": "_LazyModule", "soslen.ring": "_LazyModule"}
 
 
 def test_mix_and_gramcheck_skip_numpy(tmp_path, capsys, monkeypatch):
