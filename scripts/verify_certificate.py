@@ -189,6 +189,9 @@ MALFORMED = (OSError, ValueError, LookupError, TypeError, AttributeError, Arithm
 
 
 def main():
+    # certificates of ternary forms from d = 13 on hold integers of more than
+    # 4,300 digits, the default limit on int <-> str conversion since 3.10.7
+    getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("certificates", nargs="+", help="certificate JSON files")
     args = ap.parse_args()

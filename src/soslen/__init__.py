@@ -1,11 +1,14 @@
 """Exact bounds, dimension experiments and length certificates for sums of
 squares of real forms.
 
-The public names below load their module on first use, so that importing
-the package (and commands that need no linear algebra) never imports numpy.
+Importing the package registers its heavier submodules as lazy modules,
+and the public names below load their module on first use, so that
+importing the package (and commands that need no linear algebra) never
+imports numpy.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -69,6 +72,28 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_MODULE_OF)
+
+
+def _lazy_submodule(name: str):
+    """Register ``soslen.<name>`` in ``sys.modules`` and as a package
+    attribute now; it executes on first attribute access.
+
+    numpy's start-up costs more than a whole bounds command or cache hit,
+    and ``bounds`` and ``ring`` import dataclasses and fractions, so only
+    the code that uses a module pays for it.  Callers import these modules
+    plainly (``from . import generic``) and call through them
+    (``generic.ik_verify(...)``), so calls resolve at call time.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in ("bounds", "ring", "linalg", "generic", "witness"):
+    _lazy_submodule(_name)
 
 
 def __getattr__(name):

@@ -12,7 +12,6 @@ without recomputation.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import io
 import json
 import os
@@ -20,42 +19,10 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from . import __version__
+from . import __version__, bounds, generic, ring, witness
 from .errors import CertificationError, GenericityError, GuardError, InternalCheckError
 from .fileio import canonical_json, write_atomic
 from .primes import DEFAULT_SEED, P1, P2, _validate_modulus
-
-
-def _lazy_submodule(name: str):
-    """``soslen.<name>``, registered in ``sys.modules`` now and executed on
-    first attribute access.
-
-    The numeric modules import numpy, whose start-up costs more than a
-    whole bounds command or cache hit; loaded this way, only the commands
-    that use a module pay for it.  Calls go through the module
-    (``generic.ik_verify(...)``), so they resolve at call time.
-    """
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)  # as an import would
-    return module
-
-
-# bounds and ring are lazy too, so that --version and cache hits load neither
-# them nor the dataclasses and fractions they import; linalg is registered
-# though only generic and witness call it, so that importing this module
-# leaves the same soslen modules in sys.modules as an eager import did
-bounds = _lazy_submodule("bounds")
-ring = _lazy_submodule("ring")
-linalg = _lazy_submodule("linalg")
-generic = _lazy_submodule("generic")
-witness = _lazy_submodule("witness")
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -542,6 +509,9 @@ def _execute(cfg: RunConfig):
 
 
 def main(argv=None) -> int:
+    # ternary certificates from d = 13 on hold integers of more than 4,300
+    # digits, the default limit on int <-> str conversion since 3.10.7
+    getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

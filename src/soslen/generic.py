@@ -108,11 +108,12 @@ class PointSample:
     points: tuple[tuple[int, ...], ...]
 
 
-def _raw_points(n: int, s: int, bound: int, rng: random.Random) -> list[tuple[int, ...]]:
+def _raw_points(n: int, s: int, lo: int, hi: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """s nonzero integer points with coordinates drawn from [lo, hi)."""
     pts = []
     for _ in range(s):
         while True:
-            coords = tuple(rng.randrange(bound) for _ in range(n))
+            coords = tuple(rng.randrange(lo, hi) for _ in range(n))
             if any(coords):
                 break
         pts.append(coords)
@@ -158,7 +159,7 @@ def _sample_instance(n, d, s, seed, primes):
     bound = min(primes)
     for rnd in range(_SAMPLE_ROUNDS):
         rng = random.Random(derive_seed(seed, "points", rnd))
-        pts = _raw_points(n, s, bound, rng)
+        pts = _raw_points(n, s, 0, bound, rng)
         if all(_gate_ok(pts, n, d, p) for p in primes):
             return tuple(pts)
     raise GenericityError(

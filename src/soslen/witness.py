@@ -14,9 +14,10 @@ points; no conjecture enters.
 
 The samples are gated by the rank of their degree-(d-1) evaluation matrix
 mod p, with the exact rational rank as the fallback, and the basis comes
-from the multimodular kernel of ``linalg``.  Both modules, and numpy with
-them, load inside ``build_witness`` only, so loading, mixing and comparing
-representations needs neither.
+from the multimodular kernel of ``linalg``.  The package registers
+``generic`` and ``linalg`` as lazy modules, so they, and numpy with them,
+load at the first call that ``build_witness`` makes through them; loading,
+mixing and comparing representations needs neither.
 
 Sums of squares, Gram tensors and mixes share one exact integer kernel.
 Each vector's denominators are cleared once (u_k = D_k v_k), and the upper
@@ -38,6 +39,7 @@ from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
+from . import generic, linalg
 from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
 from .fileio import canonical_json, write_atomic
@@ -280,16 +282,6 @@ def build_witness(
     pair-product map by full row rank mod p.  Defaults to the smallest
     certifiable point count s_min(n, d).
     """
-    # the numeric modules load here only: mix and gramcheck never need them
-    from .generic import _SAMPLE_ROUNDS, _eval_matrix_mod_p, derive_seed, pair_products_rank
-    from .linalg import (
-        PrimeMatrix,
-        RationalMatrix,
-        kernel_basis_rational,
-        rank_mod_p,
-        rank_rational,
-    )
-
     if n < 3 or d < 2:
         raise ValueError(f"witness construction needs n >= 3 and d >= 2, got ({n}, {d})")
     params = DegreeParams(n, d)
@@ -307,30 +299,27 @@ def build_witness(
     N_prev = dim_forms(n, d - 1)
     injectivity_failed = False
 
-    for rnd in range(_SAMPLE_ROUNDS):
-        rng = random.Random(derive_seed(seed, "witness", n, d, s, rnd))
-        points = []
-        for _ in range(s):
-            while True:
-                coords = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(n))
-                if any(coords):
-                    break
-            points.append(coords)
+    for rnd in range(generic._SAMPLE_ROUNDS):
+        rng = random.Random(generic.derive_seed(seed, "witness", n, d, s, rnd))
+        points = generic._raw_points(n, s, -COORD_BOUND, COORD_BOUND + 1, rng)
 
         # full rank mod p implies full rational rank; the exact rank decides
         # only when every prime is unlucky
         if not any(
-            rank_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d - 1, p), p)) == N_prev
+            linalg.rank_mod_p(
+                linalg.PrimeMatrix(generic._eval_matrix_mod_p(points, n, d - 1, p), p)
+            ) == N_prev
             for p in primes
-        ) and rank_rational(RationalMatrix(_eval_rows_int(points, n, d - 1))) != N_prev:
+        ) and linalg.rank_rational(
+            linalg.RationalMatrix(_eval_rows_int(points, n, d - 1))
+        ) != N_prev:
             continue
-        eval_d = _eval_rows_int(points, n, d)
-        basis = kernel_basis_rational(RationalMatrix(eval_d))
-        if len(basis) != b:  # the same test as rank(eval_d) != s
+        basis = linalg.kernel_basis_rational(linalg.RationalMatrix(_eval_rows_int(points, n, d)))
+        if len(basis) != b:  # the same test as degree-d evaluation rank != s
             continue
 
         evidence_primes = tuple(
-            p for p in primes if pair_products_rank(basis, n, d, p) == target_rank
+            p for p in primes if generic.pair_products_rank(basis, n, d, p) == target_rank
         )
         if not evidence_primes:
             injectivity_failed = True
@@ -338,11 +327,8 @@ def build_witness(
 
         witness_vec = _sum_of_squares_int(basis, n, d)
 
-        # exact self-checks: basis and witness vanish on every point
-        for row in eval_d:
-            for v in basis:
-                if sum(a * c for a, c in zip(row, v)) != 0:
-                    raise CertificationError("kernel vector does not vanish on a point")
+        # exact self-check: the witness vanishes on every point (the kernel
+        # has already checked exactly that every basis vector does)
         for row2d, coords in zip(_eval_rows_int(points, n, 2 * d), points):
             if sum(a * c for a, c in zip(row2d, witness_vec)) != 0:
                 raise CertificationError(f"witness does not vanish at {coords}")
@@ -363,10 +349,11 @@ def build_witness(
     if injectivity_failed:
         raise CertificationError(
             f"pair-product rank stayed below {target_rank} at every prime for "
-            f"{_SAMPLE_ROUNDS} samples at (n={n}, d={d}, s={s})"
+            f"{generic._SAMPLE_ROUNDS} samples at (n={n}, d={d}, s={s})"
         )
     raise GenericityError(
-        f"no rational sample of {s} points passed the exact rank gate in {_SAMPLE_ROUNDS} rounds"
+        f"no rational sample of {s} points passed the exact rank gate in "
+        f"{generic._SAMPLE_ROUNDS} rounds"
     )
 
 

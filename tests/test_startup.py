@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import soslen.cli as cli
+from soslen.witness import build_witness, save_certificate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -162,3 +163,31 @@ def test_parallel_sweep_matches_serial_in_fresh_processes():
     parallel = soslen(*argv, "--parallelism", "2")
     assert serial[0] == 0 and serial[1].count("\n") == 3
     assert parallel[:2] == serial[:2]
+
+
+LAZY_MODULES = ("soslen.bounds", "soslen.ring", "soslen.linalg", "soslen.generic",
+                "soslen.witness")
+
+
+def test_package_import_registers_the_lazy_modules():
+    proc = python("-c", f"""
+import sys, soslen
+for m in {LAZY_MODULES!r}:
+    assert getattr(soslen, m.split(".")[1]) is sys.modules[m], m
+    print(m, type(sys.modules[m]).__name__)
+print("numpy loaded:", "numpy" in sys.modules)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"{m} _LazyModule\n" for m in LAZY_MODULES) + (
+        "numpy loaded: False\n")
+
+
+def test_library_load_mix_and_compare_skip_numpy(tmp_path):
+    save_certificate(build_witness(3, 3), tmp_path / "c.json")
+    proc = python("-c", """
+import sys
+from soslen.witness import gram_equivalent, load_sos_file, random_mix
+rep = load_sos_file("c.json")
+print(gram_equivalent(rep, random_mix(rep, 9)), "numpy" in sys.modules)
+""", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "True False\n"), proc.stderr
