@@ -142,6 +142,14 @@ class Surd:
         return f"{sign_str}{t // scale}.{t % scale:0{digits}d}"
 
 
+def _quadratic_root(B: int, C: int, larger: bool, what: str) -> Surd:
+    """The smaller or larger root (B -+ sqrt(B^2 - 4C)) / 2 of x^2 - B*x + C."""
+    disc = B * B - 4 * C
+    if disc < 0:
+        raise InternalCheckError(f"negative discriminant {disc} for {what}")
+    return Surd(B, 1 if larger else -1, disc, 2)
+
+
 def lambda_lower(params: DegreeParams) -> tuple[Surd, int]:
     """Weak general lower bound for p(n,2d) and its integer ceiling.
 
@@ -149,15 +157,9 @@ def lambda_lower(params: DegreeParams) -> tuple[Surd, int]:
     (2e + 1 - sqrt((2e+1)^2 - 8a)) / 2, the smaller root of the
     independence count p*e - C(p,2) = a.
     """
-    e = params.N_d
-    a = params.N_2d
-    q = 2 * e + 1
-    disc = q * q - 8 * a
-    if disc < 0:
-        raise InternalCheckError(
-            f"negative discriminant {disc} for lambda({params.n},{2*params.d})"
-        )
-    surd = Surd(q, -1, disc, 2)
+    surd = _quadratic_root(
+        2 * params.N_d + 1, 2 * params.N_2d, False, f"lambda({params.n},{2*params.d})"
+    )
     return surd, surd.ceil()
 
 
@@ -167,8 +169,7 @@ def Lambda_upper(params: DegreeParams) -> tuple[Surd, int]:
     With a = N_{n,2d}, the value is (-1 + sqrt(1 + 8a)) / 2, i.e. the
     solution of C(p+1, 2) = a.
     """
-    a = params.N_2d
-    surd = Surd(-1, 1, 1 + 8 * a, 2)
+    surd = _quadratic_root(-1, -2 * params.N_2d, True, f"Lambda({params.n},{2*params.d})")
     return surd, surd.floor()
 
 
@@ -186,50 +187,22 @@ def leep_length_bound(n: int, d: int, m: int = 0) -> int:
     return 1 + binomial(n + d - 2, n - 2) - tail
 
 
-def _smin_poly(params: DegreeParams) -> tuple[int, int]:
-    """Coefficients (B, C) of P(x) = x^2 - B*x + C whose small root is s_min."""
-    n = params.n
-    N_d = params.N_d
-    N_2d = params.N_2d
-    return 2 * N_d - 2 * n + 1, N_d * (N_d + 1) - 2 * N_2d
-
-
 def s_min(params: DegreeParams) -> int:
     """Smallest point count s with C(N_d - s + 1, 2) <= N_{2d} - n*s.
 
-    Found by exact integer bisection on the quadratic predicate; start at
-    N_{n,d-1} where the predicate is known to fail for n >= 4 (strict
-    bracketing) and to hold with equality for n = 3.
+    The inequality reads s^2 - B*s + C <= 0 with B = 2N_d - 2n + 1 and
+    C = N_d(N_d + 1) - 2N_{2d}, so s is the ceiling of the smaller root,
+    taken no lower than N_{n,d-1}: for n = 3 that is the smaller root
+    itself, and for n >= 4 the root lies strictly above it (bracketing).
     """
     n, d = params.n, params.d
     if n < 3 or d < 2:
         raise ValueError(f"s_min requires n >= 3 and d >= 2, got (n={n}, d={d})")
     N_d = params.N_d
-    B, C = _smin_poly(params)
-
-    def p_at(s: int) -> int:
-        return s * s - B * s + C
-
-    lo = dim_forms(n, d - 1)
-    if p_at(lo) <= 0:
-        s = lo
-    else:
-        hi = B // 2  # vertex of the parabola
-        if p_at(hi) > 0:
-            hi += 1
-            if p_at(hi) > 0:
-                raise InternalCheckError(
-                    f"no integer satisfies the point-count inequality at (n={n}, d={d})"
-                )
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            if p_at(mid) <= 0:
-                b = mid
-            else:
-                a = mid
-        s = b
-
+    B, C = 2 * N_d - 2 * n + 1, N_d * (N_d + 1) - 2 * params.N_2d
+    s = max(dim_forms(n, d - 1), _quadratic_root(B, C, False, f"s_min({n},{2*d})").ceil())
+    if s * s - B * s + C > 0:
+        raise InternalCheckError(f"s={s} violates the point-count inequality at (n={n}, d={d})")
     if not s < N_d:
         raise InternalCheckError(f"s_min bracketing failed: s={s} >= N_d={N_d}")
     if n >= 4 and not dim_forms(n, d - 1) < s:

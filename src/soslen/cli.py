@@ -306,7 +306,6 @@ def cmd_ik(cfg: RunConfig):
         for s in s_values
     ]
     reports = generic.run_jobs(generic.ik_verify, jobs, parallelism=cfg.parallelism)
-    reports = sorted(reports, key=lambda r: r.s)
     code = EXIT_OK
     if any(r.status is generic.Status.INCONCLUSIVE_HIGH for r in reports):
         code = EXIT_INCONCLUSIVE

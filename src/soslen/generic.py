@@ -146,8 +146,8 @@ def _gate_ok(points, n: int, d: int, p: int) -> bool:
     mat = PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p)
     if rank_mod_p(mat) != min(s, N_d):
         return False
-    N_prev = dim_forms(n, d - 1) if d >= 1 else 0
-    if d >= 1 and s >= N_prev:
+    N_prev = dim_forms(n, d - 1)
+    if s >= N_prev:
         prev = PrimeMatrix(_eval_matrix_mod_p(points, n, d - 1, p), p)
         if rank_mod_p(prev) != N_prev:
             return False
@@ -225,7 +225,10 @@ def _lattice_eval(n: int, d: int, p: int) -> np.ndarray:
 
 
 def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarray:
-    """C(b+1,2) x N_{2d} coefficient rows of the products v_i v_j, i <= j."""
+    """C(b+1,2) x N_{2d} coefficient rows of the products v_i v_j, i <= j.
+
+    Left unreduced for PrimeMatrix: each entry sums at most N_d residues.
+    """
     b = vecs.shape[0]
     T = np.asarray(product_index_table(n, d, d), dtype=np.int64).ravel()
     rows = np.zeros((b * (b + 1) // 2, dim_forms(n, 2 * d)), dtype=np.int64)
@@ -235,7 +238,7 @@ def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarr
             outer = vecs[i][:, None] * vecs[j][None, :] % prime
             np.add.at(rows[k], T, outer.ravel())
             k += 1
-    return rows % prime
+    return rows
 
 
 def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
@@ -264,10 +267,10 @@ def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
     if prime <= 2 * d:
         return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
     G = matmul_mod_p(vecs, _lattice_eval(n, d, prime), prime)
+    # products of two residues stay below prime^2 < 2^63; PrimeMatrix reduces
     i, j = np.triu_indices(len(G))
     rows = G[i]
     rows *= G[j]
-    rows %= prime
     return rank_mod_p(PrimeMatrix(rows, prime))
 
 
@@ -418,8 +421,8 @@ def ik_verify(
     return last
 
 
-def _ideal_matrix(forms: np.ndarray, n: int, d: int, p: int) -> np.ndarray:
-    """Rows p_i * x^beta over all degree-d monomials x^beta, reduced mod p."""
+def _ideal_matrix(forms: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Rows p_i * x^beta over all degree-d monomials x^beta."""
     r, N_d = forms.shape
     N_2d = dim_forms(n, 2 * d)
     T = np.asarray(product_index_table(n, d, d), dtype=np.int64)
@@ -427,7 +430,7 @@ def _ideal_matrix(forms: np.ndarray, n: int, d: int, p: int) -> np.ndarray:
     rows_idx = np.arange(N_d)[:, None]
     for i in range(r):
         block = out[i * N_d : (i + 1) * N_d]
-        block[rows_idx, T] = forms[i][None, :] % p
+        block[rows_idx, T] = forms[i][None, :]
     return out
 
 
@@ -463,7 +466,7 @@ def generic_ideal_dim(
 
     computed = _agreed_rank(
         random_forms,
-        lambda forms, p: rank_mod_p(PrimeMatrix(_ideal_matrix(forms, n, d, p), p)),
+        lambda forms, p: rank_mod_p(PrimeMatrix(_ideal_matrix(forms, n, d), p)),
         primes, f"n={n}, d={d}, r={r}",
     )
     report = DimensionReport(

@@ -139,6 +139,15 @@ class TestLambdaBounds:
             assert surd.exact() == 2 * d + 1
             assert fl == 2 * d + 1
 
+    def test_surd_fields_match_their_formulas(self):
+        # bounds and table print these fields, not only the ceiling and floor
+        for n in range(1, 9):
+            for d in range(1, 13):
+                e, a = dim_forms(n, d), dim_forms(n, 2 * d)
+                lam = Surd(2 * e + 1, -1, (2 * e + 1) ** 2 - 8 * a, 2)
+                assert lambda_lower(DegreeParams(n, d))[0] == lam
+                assert Lambda_upper(DegreeParams(n, d))[0] == Surd(-1, 1, 1 + 8 * a, 2)
+
     def test_Lambda_floors(self):
         assert Lambda_upper(DegreeParams(4, 2))[1] == 7
         assert Lambda_upper(DegreeParams(4, 3))[1] == 12
@@ -181,7 +190,7 @@ class TestSmin:
         assert s_min(DegreeParams(5, 4)) == 48
         assert s_min(DegreeParams(3, 3)) == 6
 
-    @given(st.integers(3, 6), st.integers(2, 10))
+    @given(st.integers(3, 6), st.integers(2, 16))
     @settings(max_examples=60)
     def test_matches_linear_scan_oracle(self, n, d):
         assert s_min(DegreeParams(n, d)) == s_min_oracle(n, d)
