@@ -358,10 +358,12 @@ def cmd_witness(cfg: RunConfig):
 
 
 def cmd_mix(cfg: RunConfig):
+    out = cfg.params["out"]
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"output directory {Path(out).parent} does not exist")
     rep = witness.load_sos_file(cfg.params["infile"])
     mixed = witness.random_mix(rep, cfg.seed)
     content = canonical_json(witness.representation_to_dict(mixed))
-    out = cfg.params["out"]
     summary = f"mix {cfg.params['infile']} -> {out} ({len(mixed.summands)} summands)\n"
     return summary, EXIT_OK, {out: content}
 

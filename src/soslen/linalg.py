@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -263,27 +262,24 @@ def kernel_basis_mod_p(M: PrimeMatrix) -> np.ndarray:
 
 
 class RationalMatrix:
-    """Dense matrix of exact fractions (always in lowest terms)."""
+    """Dense rational matrix of int or Fraction entries, stored as integer
+    rows: each row times the lcm of its denominators, which changes neither
+    rank nor kernel."""
 
     __slots__ = ("rows", "shape")
 
     def __init__(self, rows, cols: int | None = None):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        cleared = []
+        for row in rows:
+            L = math.lcm(*[x.denominator for x in row])
+            cleared.append(tuple(x.numerator * (L // x.denominator) for x in row))
+        self.rows = tuple(cleared)
         ncols = len(self.rows[0]) if self.rows else cols
         if ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
         if any(len(row) != ncols for row in self.rows):
             raise ValueError("ragged rows")
         self.shape = (len(self.rows), ncols)
-
-
-def _integer_rows(M: RationalMatrix) -> list[list[int]]:
-    """Row-wise denominator clearing (does not change rank or kernel)."""
-    out = []
-    for row in M.rows:
-        L = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * L) for x in row])
-    return out
 
 
 # Primes per elimination stack of the multimodular kernel; it bounds the
@@ -427,7 +423,7 @@ def kernel_basis_rational(M: RationalMatrix) -> list[list[int]]:
     m, n = M.shape
     if m == 0 or n == 0:
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rows = _integer_rows(M)
+    rows = M.rows
     hbits = sum(sum(x * x for x in row).bit_length() for row in rows) // 2 + 1
     # A prime is unlucky only if it divides one of the leading pivot minors,
     # whose product is at most H^min(m, n); the others multiply past 2 H

@@ -12,12 +12,12 @@ representation coincides with that of the basis representation, whose rank
 is b.  The certified length claim is unconditional for the recorded
 points; no conjecture enters.
 
-The samples are gated by the rank of their degree-(d-1) evaluation matrix
-mod p, with the exact rational rank as the fallback, and the basis comes
-from the multimodular kernel of ``linalg``.  The package registers
-``generic`` and ``linalg`` as lazy modules, so they, and numpy with them,
-load at the first call that ``build_witness`` makes through them; loading,
-mixing and comparing representations needs neither.
+The samples are gated by the exact rational rank of their degree-(d-1)
+evaluation matrix, and the basis comes from the multimodular kernel of
+``linalg``.  The package registers ``generic`` and ``linalg`` as lazy
+modules, so they, and numpy with them, load at the first call that
+``build_witness`` makes through them; loading, mixing and comparing
+representations needs neither.
 
 Sums of squares, Gram tensors and mixes share one exact integer kernel.
 Each vector's denominators are cleared once (u_k = D_k v_k), and the upper
@@ -73,15 +73,10 @@ COORD_BOUND = 1000
 
 @dataclass(frozen=True)
 class _IntGram:
-    """den * sum_k v_k v_k^T in integers, upper triangle over the support.
-
-    ``support`` lists the coordinates where some v_k is nonzero, the only
-    rows and columns with nonzero entries; ``upper[a][c]`` is the entry at
-    (support[a], support[a + c]).
-    """
+    """den * sum_k v_k v_k^T in integers, upper triangle by rows:
+    ``upper[i][c]`` is the entry at (i, i + c)."""
 
     den: int
-    support: tuple[int, ...]
     upper: tuple[tuple[int, ...], ...]
 
 
@@ -103,13 +98,12 @@ def _int_gram(vectors) -> _IntGram:
     us, dens = _cleared(vectors)
     den = math.lcm(*[D * D for D in dens])
     cols = list(zip(*us))
-    support = tuple(i for i, col in enumerate(cols) if any(col))
     weights = [den // (D * D) for D in dens]
     upper = []
-    for a, i in enumerate(support):
-        wcol = cols[i] if den == 1 else list(map(mul, weights, cols[i]))
-        upper.append(tuple(sum(map(mul, wcol, cols[j])) for j in support[a:]))
-    return _IntGram(den, support, tuple(upper))
+    for i, col in enumerate(cols):
+        wcol = col if den == 1 else list(map(mul, weights, col))
+        upper.append(tuple(sum(map(mul, wcol, other)) for other in cols[i:]))
+    return _IntGram(den, tuple(upper))
 
 
 def _square_sum(gram: _IntGram, n: int, d: int) -> list:
@@ -117,11 +111,10 @@ def _square_sum(gram: _IntGram, n: int, d: int) -> list:
     lands on the product of its two monomials, off the diagonal twice."""
     table = product_index_table(n, d, d)
     out = [0] * dim_forms(n, 2 * d)
-    support = gram.support
-    for a, (i, row) in enumerate(zip(support, gram.upper)):
+    for i, row in enumerate(gram.upper):
         prod = table[i]
         out[prod[i]] += row[0]
-        for j, g in zip(support[a + 1:], row[1:]):
+        for j, g in enumerate(row[1:], i + 1):
             out[prod[j]] += 2 * g
     if gram.den == 1:
         return out
@@ -190,8 +183,8 @@ def gram_tensor(rep: SosRepresentation) -> GramTensor:
     N = dim_forms(rep.n, rep.d)
     g = rep.gram
     mat = [[Fraction(0)] * N for _ in range(N)]
-    for a, (i, row) in enumerate(zip(g.support, g.upper)):
-        for j, x in zip(g.support[a:], row):
+    for i, row in enumerate(g.upper):
+        for j, x in enumerate(row, i):
             mat[i][j] = mat[j][i] = Fraction(x, g.den)
     return GramTensor(rep.n, rep.d, tuple(tuple(row) for row in mat))
 
@@ -208,7 +201,7 @@ def gram_equivalent(rep1: SosRepresentation, rep2: SosRepresentation) -> bool:
     if rep1.target.coeffs != rep2.target.coeffs:
         raise ValueError("representations have different targets")
     g1, g2 = rep1.gram, rep2.gram
-    return g1.support == g2.support and all(
+    return all(
         x * g2.den == y * g1.den
         for row1, row2 in zip(g1.upper, g2.upper)
         for x, y in zip(row1, row2)
@@ -276,11 +269,10 @@ def build_witness(
     """Construct a rational sum of squares whose exact length is N_d - s.
 
     Samples s integer points, checks that no degree-(d-1) form vanishes on
-    them (full rank of their evaluation matrix mod one of ``primes``, else
-    exactly over the rationals), takes the canonical integer kernel basis
-    of the degree-d evaluation matrix, and certifies injectivity of the
-    pair-product map by full row rank mod p.  Defaults to the smallest
-    certifiable point count s_min(n, d).
+    them (full rational rank of their evaluation matrix), takes the
+    canonical integer kernel basis of the degree-d evaluation matrix, and
+    certifies injectivity of the pair-product map by full row rank mod p.
+    Defaults to the smallest certifiable point count s_min(n, d).
     """
     if n < 3 or d < 2:
         raise ValueError(f"witness construction needs n >= 3 and d >= 2, got ({n}, {d})")
@@ -303,16 +295,7 @@ def build_witness(
         rng = random.Random(generic.derive_seed(seed, "witness", n, d, s, rnd))
         points = generic._raw_points(n, s, -COORD_BOUND, COORD_BOUND + 1, rng)
 
-        # full rank mod p implies full rational rank; the exact rank decides
-        # only when every prime is unlucky
-        if not any(
-            linalg.rank_mod_p(
-                linalg.PrimeMatrix(generic._eval_matrix_mod_p(points, n, d - 1, p), p)
-            ) == N_prev
-            for p in primes
-        ) and linalg.rank_rational(
-            linalg.RationalMatrix(_eval_rows_int(points, n, d - 1))
-        ) != N_prev:
+        if linalg.rank_rational(linalg.RationalMatrix(_eval_rows_int(points, n, d - 1))) != N_prev:
             continue
         basis = linalg.kernel_basis_rational(linalg.RationalMatrix(_eval_rows_int(points, n, d)))
         if len(basis) != b:  # the same test as degree-d evaluation rank != s
@@ -373,8 +356,7 @@ def certify_unique_representation(cert: LengthCertificate, alt: SosRepresentatio
     """
     if (alt.n, alt.d) != (cert.n, cert.d):
         raise ValueError("representation does not match the certificate's degrees")
-    witness_coeffs = tuple(Fraction(c) for c in cert.witness)
-    if alt.target.coeffs != witness_coeffs:
+    if alt.target.coeffs != cert.witness:
         raise ValueError("representation target differs from the certificate witness")
     for q in alt.summands:
         for coords in cert.points:
@@ -476,11 +458,8 @@ def representation_to_dict(rep: SosRepresentation) -> dict:
 
 def representation_from_dict(data: dict) -> SosRepresentation:
     n, d = data["n"], data["d"]
-    summands = tuple(
-        Form.from_coeffs(n, d, [Fraction(c) for c in vec])
-        for vec in data["summands"]
-    )
-    target = Form.from_coeffs(n, 2 * d, [Fraction(c) for c in data["target"]])
+    summands = tuple(Form.from_coeffs(n, d, vec) for vec in data["summands"])
+    target = Form.from_coeffs(n, 2 * d, data["target"])
     return SosRepresentation(summands=summands, target=target)
 
 

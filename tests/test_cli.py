@@ -689,6 +689,16 @@ class TestFileErrors:
             ["mix", str(tmp_path / "nope.json"), str(tmp_path / "m.json")], capsys
         )
 
+    def test_mix_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError("the input was loaded for an unwritable output")
+
+        monkeypatch.setattr(cli.witness, "load_sos_file", no_load)
+        missing = tmp_path / "missing"
+        assert main(["mix", str(tmp_path / "c.json"), str(missing / "m.json")]) == 4
+        err = capsys.readouterr().err
+        assert err == f"soslen: error: output directory {missing} does not exist\n"
+
 
 # bounded JSON built from the keys and values of sos files, plus objects of
 # the two file shapes with small fields; integers stay small so that no

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soslen import cli, linalg
+from soslen import cli, generic, linalg
 from soslen.bounds import binomial, dim_forms
 from soslen.linalg import RationalMatrix, rank_rational
 from soslen.ring import Form, Point, product_index_table
@@ -188,24 +188,36 @@ class TestBuildWitness:
 
 
 class TestDegreeBelowGate:
-    """The degree-(d-1) gate: full rank mod a listed prime, else exact rank."""
+    """The degree-(d-1) gate: full rank of the evaluation matrix over the rationals."""
 
-    def test_mod_p_gate_needs_no_rational_rank(self, monkeypatch):
-        def no_exact_rank(M):
-            raise AssertionError("rank_rational called although a prime has full rank")
-
-        monkeypatch.setattr(linalg, "rank_rational", no_exact_rank)
-        assert build_witness(3, 4, seed=21).length == 5
-
-    def test_deficient_at_every_prime_falls_back_to_exact_rank(self, monkeypatch, tmp_path):
-        save_certificate(build_witness(3, 4, seed=21), tmp_path / "mod_p.json")
+    def test_gate_is_one_exact_rank_call_whatever_rank_mod_p_returns(
+        self, monkeypatch, tmp_path
+    ):
+        save_certificate(build_witness(3, 4, seed=21), tmp_path / "plain.json")
         exact_calls = []
         real = linalg.rank_rational
         monkeypatch.setattr(linalg, "rank_mod_p", lambda M: 0)
         monkeypatch.setattr(linalg, "rank_rational", lambda M: exact_calls.append(M) or real(M))
-        save_certificate(build_witness(3, 4, seed=21), tmp_path / "fallback.json")
+        save_certificate(build_witness(3, 4, seed=21), tmp_path / "patched.json")
         assert len(exact_calls) == 1
-        assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "mod_p.json").read_bytes()
+        assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_points_on_a_conic_are_rejected(self, monkeypatch):
+        # six points (a^2, ab, b^2) lie on the conic x1 x3 = x2^2, so a
+        # quadric vanishes on them; they impose independent conditions on
+        # cubics, so only the degree-2 gate can turn them away
+        pairs = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1))
+        conic = [(a * a, a * b, b * b) for a, b in pairs]
+        real = generic._raw_points
+        draws = []
+
+        def conic_first(*args):
+            draws.append(conic if not draws else real(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(generic, "_raw_points", conic_first)
+        cert = build_witness(3, 3, seed=11)
+        assert len(draws) == 2 and cert.points == tuple(draws[1]) != tuple(conic)
 
 
 class TestGramTensor:
