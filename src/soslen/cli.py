@@ -125,6 +125,18 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _check_output_paths(cfg: RunConfig) -> None:
+    """Reject an output file (--out, mix's output, the cache) whose directory
+    is missing or that is a directory, before the cache lookup and any work;
+    a device or pipe (/dev/stdout) passes, as write_atomic writes it."""
+    label = "--out" if cfg.command == "witness" else "output"
+    for path, what in ((cfg.params.get("out"), label), (cfg.cache, "cache")):
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"{what} directory {Path(path).parent} does not exist")
+        if path is not None and Path(path).is_dir():
+            raise ValueError(f"{what} {path} is a directory")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 by default, which collides with
     the inconclusive status; force usage errors onto exit code 4."""
@@ -341,11 +353,8 @@ def cmd_witness(cfg: RunConfig):
     n = cfg.param("n")
     d = cfg.param("d")
     s = cfg.param("s", required=False)
-    out = cfg.params["out"]
-    if out is not None and not Path(out).parent.is_dir():
-        raise ValueError(f"--out directory {Path(out).parent} does not exist")
     cert = witness.build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes)
-    out_path = out or f"witness_n{n}_d{d}_s{cert.s}.json"
+    out_path = cfg.params["out"] or f"witness_n{n}_d{d}_s{cert.s}.json"
     content = canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
     form = ring.Form.from_coeffs(n, 2 * d, cert.witness)
@@ -359,8 +368,6 @@ def cmd_witness(cfg: RunConfig):
 
 def cmd_mix(cfg: RunConfig):
     out = cfg.params["out"]
-    if not Path(out).parent.is_dir():
-        raise ValueError(f"output directory {Path(out).parent} does not exist")
     rep = witness.load_sos_file(cfg.params["infile"])
     mixed = witness.random_mix(rep, cfg.seed)
     content = canonical_json(witness.representation_to_dict(mixed))
@@ -517,6 +524,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        _check_output_paths(cfg)
         if cfg.cache:
             key = cfg.cache_key()
             rec = _cache_lookup(cfg.cache, key)

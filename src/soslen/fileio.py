@@ -25,11 +25,11 @@ def write_atomic(path, text: str) -> None:
     process, not a lost machine.  A symlink is written through, and a
     device or pipe (``/dev/stdout``) is written directly.
     """
-    path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
             fh.write(text)
         return
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x") as fh:

@@ -2,12 +2,11 @@
 
 The prime-field kernels are the performance core of the package.  Moduli
 are limited to primes below 2^31.5, so products of two residues cannot
-overflow int64.  Rank, RREF and kernel share one blocked elimination: a
-per-column int64 sweep finds the pivots of each 32-column panel, and the
-rest of the matrix is updated by float64 matrix products (BLAS) on centred
-16-bit limbs, whose every partial sum stays below 2^53 and so is exact.
-The same limb product, taken 32 inner columns at a time, is the exact
-modular matrix product ``matmul_mod_p``.
+overflow int64.  The rank is a blocked elimination: a per-column int64
+sweep finds the pivots of each 32-column panel, and the rest of the matrix
+is updated by exact float64 matrix products (BLAS) on centred 16-bit limbs,
+as in ``matmul_mod_p``.  RREF and kernel, used on narrow evaluation
+matrices only, run the per-column sweep on the whole matrix.
 
 The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .primes import DEFAULT_PRIMES, P1, P2, _validate_modulus, is_probable_prime
+from .ring import _cleared
 
 __all__ = [
     "P1",
@@ -181,22 +181,21 @@ def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def _eliminate(W: np.ndarray, p: int, reduced: bool) -> list[int]:
+def _eliminate(W: np.ndarray, p: int) -> list[int]:
     """In-place blocked elimination of a float64 array of residues over F_p;
-    returns the pivot columns.
+    returns the pivot columns, whose count is the rank.
 
     The pivots are the greedy ones of a column-by-column sweep (the first
     column, left to right, that is independent of the earlier ones on the
-    rows not yet used).  With ``reduced`` W ends in reduced row echelon
-    form; without it only the pivot count is meaningful.
+    rows not yet used).
 
     Right-looking block elimination: for each panel of ``_PANEL`` columns
     the per-column sweep runs on an int64 copy of the panel's remaining
     rows and yields the panel's k pivots and row swaps.  The swaps are
     replayed on W, so the k pivot rows sit at r..r+k.  With B their k x k
-    block at the pivot columns and R the rows themselves, X = B^-1 R is
-    their reduced form, and every other row T (below; above too when
-    ``reduced``) becomes T - F X, F being T at the pivot columns.
+    block at the pivot columns and R the rows right of the panel, whose own
+    columns are never read again, X = B^-1 R, and every row T below becomes
+    T - F X there, F being T at the pivot columns.
 
     Exactness: residues are integers below p <= 3037000499 < 2^53, so
     float64 holds them exactly.  In each product F X, F is centred to
@@ -221,31 +220,28 @@ def _eliminate(W: np.ndarray, p: int, reduced: bool) -> list[int]:
             W[[r + a, r + b], c0:] = W[[r + b, r + a], c0:]
         cols = [c0 + c for c in local]
         pivots += cols
-        if k and (reduced or (c1 < n and r + k < m)):
+        if k and c1 < n and r + k < m:
             aug = np.hstack([W[r : r + k, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
             _sweep(aug, p, reduced=True)  # leaves B^-1 in the right half
-            X = matmul_mod_p(aug[:, k:], W[r : r + k, c0:], p)  # B^-1 R
+            X = matmul_mod_p(aug[:, k:], W[r : r + k, c1:], p)  # B^-1 R
             hi, lo = _limbs(X, p)
-            others = [(r + k, m), (0, r)] if reduced else [(r + k, m)]
-            for start, stop in others:
-                for i in range(start, stop, _CHUNK):
-                    j = min(i + _CHUNK, stop)
-                    _sub_mul(W[i:j, c0:], _centred(W[i:j, cols], p), hi, lo, p)
-            W[r : r + k, c0:] = X
+            for i in range(r + k, m, _CHUNK):
+                j = min(i + _CHUNK, m)
+                _sub_mul(W[i:j, c1:], _centred(W[i:j, cols], p), hi, lo, p)
         r += k
     return pivots
 
 
 def rank_mod_p(M: PrimeMatrix) -> int:
     """Exact rank over F_p.  Deterministic: same entries give the same sweep."""
-    return len(_eliminate(M.arr.astype(np.float64), M.p, reduced=False))
+    return len(_eliminate(M.arr.astype(np.float64), M.p))
 
 
 def rref_mod_p(M: PrimeMatrix):
-    """Reduced row echelon form (int64) and pivot column list."""
-    W = M.arr.astype(np.float64)
-    pivots = _eliminate(W, M.p, reduced=True)
-    return W.astype(np.int64), pivots
+    """Reduced row echelon form (int64) and pivot column list by the
+    per-column sweep, faster than the blocked update below ~100 columns."""
+    R = M.arr.copy()
+    return R, _sweep(R, M.p, reduced=True)[0]
 
 
 def kernel_basis_mod_p(M: PrimeMatrix) -> np.ndarray:
@@ -262,18 +258,13 @@ def kernel_basis_mod_p(M: PrimeMatrix) -> np.ndarray:
 
 
 class RationalMatrix:
-    """Dense rational matrix of int or Fraction entries, stored as integer
-    rows: each row times the lcm of its denominators, which changes neither
-    rank nor kernel."""
+    """Dense rational matrix of int or Fraction entries, stored as integer rows
+    (``ring._cleared``: each row times the lcm of its denominators)."""
 
     __slots__ = ("rows", "shape")
 
     def __init__(self, rows, cols: int | None = None):
-        cleared = []
-        for row in rows:
-            L = math.lcm(*[x.denominator for x in row])
-            cleared.append(tuple(x.numerator * (L // x.denominator) for x in row))
-        self.rows = tuple(cleared)
+        self.rows = tuple(map(tuple, _cleared(rows)[0]))
         ncols = len(self.rows[0]) if self.rows else cols
         if ncols is None:
             raise ValueError("empty matrix needs an explicit column count")

@@ -7,6 +7,7 @@ Forms are dense coefficient vectors of exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -192,6 +193,17 @@ def multiply(f: Form, g: Form) -> Form:
             if cj:
                 out[row[j]] += ci * cj
     return Form(f.n, f.degree + g.degree, tuple(out))
+
+
+def _cleared(vectors) -> tuple[list[list[int]], list[int]]:
+    """Integer vectors u_k = D_k v_k and their denominators D_k, the lcm of
+    the denominators of v_k; exact for int or Fraction entries."""
+    us, dens = [], []
+    for v in vectors:
+        D = math.lcm(*[c.denominator for c in v])
+        us.append([c.numerator * (D // c.denominator) for c in v])
+        dens.append(D)
+    return us, dens
 
 
 def _eval_rows_int(points, n: int, e: int) -> list[list]:

@@ -44,7 +44,7 @@ from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
 from .fileio import canonical_json, write_atomic
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
-from .ring import Form, Point, _eval_rows_int, product_index_table
+from .ring import Form, Point, _cleared, _eval_rows_int, product_index_table
 
 __all__ = [
     "COORD_BOUND",
@@ -78,17 +78,6 @@ class _IntGram:
 
     den: int
     upper: tuple[tuple[int, ...], ...]
-
-
-def _cleared(vectors) -> tuple[list[list[int]], list[int]]:
-    """Integer vectors u_k = D_k v_k and their denominators D_k, the lcm of
-    the denominators of v_k; exact for int or Fraction entries."""
-    us, dens = [], []
-    for v in vectors:
-        D = math.lcm(*[c.denominator for c in v])
-        us.append([c.numerator * (D // c.denominator) for c in v])
-        dens.append(D)
-    return us, dens
 
 
 def _int_gram(vectors) -> _IntGram:

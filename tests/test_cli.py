@@ -580,6 +580,14 @@ class TestAtomicWrites:
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "real.json"]
 
+    def test_stdout_pipe_is_written_through(self):
+        # /dev/stdout resolves to "/proc/<pid>/fd/pipe:[...]", no path at all
+        code = "from soslen.fileio import write_atomic; write_atomic('/dev/stdout', 'through\\n')"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "through\n", "")
+
     def test_certificate_and_replay_writes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         argv = ["witness", "3", "2", "--seed", "4", "--out", "w.json", "--cache", "c.jsonl"]
@@ -698,6 +706,39 @@ class TestFileErrors:
         assert main(["mix", str(tmp_path / "c.json"), str(missing / "m.json")]) == 4
         err = capsys.readouterr().err
         assert err == f"soslen: error: output directory {missing} does not exist\n"
+
+    @pytest.mark.parametrize(
+        "argv, env, err",
+        [
+            (["witness", "3", "2", "--out", "w.json", "--cache", "missing/c.jsonl"], None,
+             "cache directory missing does not exist"),
+            (["bounds", "3", "2"], "missing/c.jsonl", "cache directory missing does not exist"),
+            (["witness", "3", "2", "--cache", "d"], None, "cache d is a directory"),
+            (["witness", "3", "2", "--out", "d"], None, "--out d is a directory"),
+            (["mix", "c.json", "d"], None, "output d is a directory"),
+        ],
+    )
+    def test_unwritable_output_rejected_before_work(
+        self, argv, env, err, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(cfg):
+            raise AssertionError("a command ran for an unwritable output")
+
+        monkeypatch.setattr(cli, "_execute", no_work)
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("PYLAB_CACHE", env)
+        (tmp_path / "d").mkdir()
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"soslen: error: {err}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_device_output_accepted(self):
+        argv = ["witness", "3", "2", "--out", os.devnull, "--cache", os.devnull]
+        cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+        cli._check_output_paths(cfg)
 
 
 # bounded JSON built from the keys and values of sos files, plus objects of

@@ -344,6 +344,7 @@ def assert_matches_reference(A, p):
     M = PrimeMatrix(A, p)
     R0 = M.arr.copy()
     pivots0 = reference_eliminate(R0, p, reduced=True)
+    assert linalg._eliminate(M.arr.astype(np.float64), p) == pivots0
     R, pivots = rref_mod_p(M)
     assert pivots == pivots0
     assert R.dtype == np.int64 and R.tobytes() == R0.tobytes()
@@ -443,6 +444,26 @@ class TestBlockedAgainstReference:
             assert rank <= 2 * m // 3
         A = np.full((130, 130), p - 1, dtype=np.int64)
         assert assert_matches_reference(A, p) == 1
+
+    @pytest.mark.parametrize("p", (101, INT64_EDGE_PRIME))
+    def test_rows_used_up_before_the_last_panel(self, p):
+        # full row rank 40 < 200 columns: all 40 rows are pivot rows by
+        # column 40, inside the second panel, and the loop stops with panels
+        # left
+        rng = np.random.default_rng(5)
+        A = rng.integers(0, p, (40, 200), dtype=np.int64)
+        A[:, 33] = A[:, 2]  # a dependent column inside the second panel
+        assert assert_matches_reference(A, p) == 40
+
+    @pytest.mark.parametrize("p", (101, INT64_EDGE_PRIME))
+    def test_partial_last_panel(self, p):
+        # 45 = 32 + 13 columns: the last panel is partial and the trailing
+        # update from the first panel covers exactly its 13 columns
+        rng = np.random.default_rng(6)
+        A = _mod_product(rng.integers(0, p, (200, 41), dtype=np.int64),
+                         rng.integers(0, p, (41, 45), dtype=np.int64), p)
+        A[::3] = 0  # zero rows among the pivot candidates force row swaps
+        assert assert_matches_reference(A, p) == 41
 
     def test_limb_product_exact_at_panel_width(self):
         # The float64 update T - F.X over an inner dimension of one full
