@@ -125,12 +125,13 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _check_output_paths(cfg: RunConfig) -> None:
-    """Reject an output file (--out, mix's output, the cache) whose directory
-    is missing or that is a directory, before the cache lookup and any work;
-    a device or pipe (/dev/stdout) passes, as write_atomic writes it."""
+def _check_output_paths(cfg: RunConfig, default_out=None) -> None:
+    """Reject an output file (--out or witness's ``default_out`` name, mix's
+    output, the cache) whose directory is missing or that is a directory,
+    before the cache lookup or the build; a device or pipe (/dev/stdout)
+    passes, as write_atomic writes it."""
     label = "--out" if cfg.command == "witness" else "output"
-    for path, what in ((cfg.params.get("out"), label), (cfg.cache, "cache")):
+    for path, what in ((cfg.params.get("out") or default_out, label), (cfg.cache, "cache")):
         if path is not None and not Path(path).parent.is_dir():
             raise ValueError(f"{what} directory {Path(path).parent} does not exist")
         if path is not None and Path(path).is_dir():
@@ -353,8 +354,12 @@ def cmd_witness(cfg: RunConfig):
     n = cfg.param("n")
     d = cfg.param("d")
     s = cfg.param("s", required=False)
+    out_path = cfg.params["out"]
+    if out_path is None and n >= 3 and d >= 2:  # build_witness rejects the rest
+        s = bounds.s_min(bounds.DegreeParams(n, d)) if s is None else s
+        out_path = f"witness_n{n}_d{d}_s{s}.json"
+        _check_output_paths(cfg, out_path)
     cert = witness.build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes)
-    out_path = cfg.params["out"] or f"witness_n{n}_d{d}_s{cert.s}.json"
     content = canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
     form = ring.Form.from_coeffs(n, 2 * d, cert.witness)
@@ -525,24 +530,20 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         _check_output_paths(cfg)
+        rec = None
         if cfg.cache:
             key = cfg.cache_key()
             rec = _cache_lookup(cfg.cache, key)
-            if rec is not None:
-                for path, content in rec.get("files", {}).items():
-                    write_atomic(path, content)
-                sys.stdout.write(rec["output"])
-                return rec["exit_code"]
-        output, code, files = _execute(cfg)
-        for path, content in files.items():
+        fresh = rec is None
+        if fresh:
+            output, code, files = _execute(cfg)
+            rec = {"output": output, "exit_code": code, "files": files}
+        for path, content in rec.get("files", {}).items():
             write_atomic(path, content)
-        if cfg.cache:
-            _cache_store(
-                cfg.cache,
-                {"key": key, "output": output, "exit_code": code, "files": files},
-            )
-        sys.stdout.write(output)
-        return code
+        if fresh and cfg.cache:
+            _cache_store(cfg.cache, {"key": key, **rec})
+        sys.stdout.write(rec["output"])
+        return rec["exit_code"]
     except (GuardError, ValueError, OSError) as exc:
         print(f"soslen: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 
 def canonical_json(obj) -> str:
@@ -12,6 +13,15 @@ def canonical_json(obj) -> str:
     equal bytes: the text of certificates, representation files, cache
     records and cache keys."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _is_stdout(path) -> bool:
+    """Whether ``path`` is the file open on stdout; False when stdout has no
+    file descriptor (a captured stream)."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):
+        return False
 
 
 def write_atomic(path, text: str) -> None:
@@ -23,8 +33,13 @@ def write_atomic(path, text: str) -> None:
     is removed.  Encoding and permissions are those ``Path.write_text``
     gives a new file.  There is no fsync: the guarantee covers a crashed
     process, not a lost machine.  A symlink is written through, and a
-    device or pipe (``/dev/stdout``) is written directly.
+    device or pipe (``/dev/stdout``) is written directly.  Stdout's own file,
+    even a regular one, is written through ``sys.stdout``.
     """
+    if _is_stdout(path):  # replacing a redirect target would cut stdout off
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
             fh.write(text)

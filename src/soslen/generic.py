@@ -225,20 +225,14 @@ def _lattice_eval(n: int, d: int, p: int) -> np.ndarray:
 
 
 def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarray:
-    """C(b+1,2) x N_{2d} coefficient rows of the products v_i v_j, i <= j.
-
-    Left unreduced for PrimeMatrix: each entry sums at most N_d residues.
-    """
-    b = vecs.shape[0]
-    T = np.asarray(product_index_table(n, d, d), dtype=np.int64).ravel()
-    rows = np.zeros((b * (b + 1) // 2, dim_forms(n, 2 * d)), dtype=np.int64)
-    k = 0
-    for i in range(b):
-        for j in range(i, b):
-            outer = vecs[i][:, None] * vecs[j][None, :] % prime
-            np.add.at(rows[k], T, outer.ravel())
-            k += 1
-    return rows
+    """C(b+1,2) x N_{2d} coefficient rows mod prime of the products v_i v_j,
+    i <= j, in that order, for residue rows ``vecs``: row (i, j) is v_j
+    times the multiples v_i x^beta of ``_ideal_matrix``."""
+    return np.vstack(
+        [np.zeros((0, dim_forms(n, 2 * d)), dtype=np.int64)]
+        + [matmul_mod_p(vecs[i:], _ideal_matrix(vecs[i : i + 1], n, d), prime)
+           for i in range(len(vecs))]
+    )
 
 
 def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
@@ -516,12 +510,11 @@ def typical_length(
     """Smallest r whose generic degree-2d ideal component is full.
 
     One full-rank instance certifies the upper bound (rank is maximal on a
-    dense open set); the lower certificate is the counting bound, whose
-    ceiling is also where the scan starts, since r*N_d - C(r,2) < N_{2d}
-    makes full rank impossible over any field.
+    dense open set); the lower certificate is the counting bound
+    ``lambda_lower``, whose ceiling is also where the scan starts, since
+    r*N_d - C(r,2) < N_{2d} makes full rank impossible over any field.
     """
     params = DegreeParams(n, d)
-    N_d, N_2d = params.N_d, params.N_2d
     cap = 2 ** (n - 1)
     limit = cap if r_max is None else min(r_max, cap)
     if limit < 1:
@@ -530,9 +523,7 @@ def typical_length(
         raise ValueError(f"need trials >= 1, got {trials}")
     certified_lower = lambda_lower(params)[1]
     r_found = None
-    for r in range(1, limit + 1):
-        if r * N_d - binomial(r, 2) < N_2d:
-            continue  # too few independent products to fill degree 2d
+    for r in range(certified_lower, limit + 1):
         for t in range(trials):
             rep = generic_ideal_dim(
                 n,
@@ -540,7 +531,7 @@ def typical_length(
                 r,
                 seed=derive_seed(seed, "typical", n, d, r, t),
                 primes=primes,
-                expected=N_2d,
+                expected=params.N_2d,
                 quantity=Quantity.FULL_RANK_AT_DEGREE_2D,
                 allow_large=allow_large,
             )
@@ -549,10 +540,6 @@ def typical_length(
                 break
         if r_found is not None:
             break
-    if r_found is not None and not certified_lower <= r_found <= cap:
-        raise InternalCheckError(
-            f"typical length {r_found} escapes [{certified_lower}, {cap}] at (n={n}, d={d})"
-        )
     status = TypicalStatus.EXACT if r_found == certified_lower else TypicalStatus.INTERVAL_ONLY
     return TypicalLengthResult(
         n=n,

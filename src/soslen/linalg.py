@@ -5,8 +5,9 @@ are limited to primes below 2^31.5, so products of two residues cannot
 overflow int64.  The rank is a blocked elimination: a per-column int64
 sweep finds the pivots of each 32-column panel, and the rest of the matrix
 is updated by exact float64 matrix products (BLAS) on centred 16-bit limbs,
-as in ``matmul_mod_p``.  RREF and kernel, used on narrow evaluation
-matrices only, run the per-column sweep on the whole matrix.
+as in ``matmul_mod_p``.  The sweep is one Gauss-Jordan step per column;
+RREF and kernel, used on narrow evaluation matrices only, run it on the
+whole matrix.
 
 The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
@@ -78,14 +79,14 @@ _CHUNK = 256
 _LIMB = 65536.0  # 2^16
 
 
-def _sweep(A: np.ndarray, p: int, reduced: bool):
-    """In-place per-column elimination of an int64 array over F_p.
+def _sweep(A: np.ndarray, p: int):
+    """In-place Gauss-Jordan elimination of an int64 array over F_p,
+    leaving A in reduced row echelon form.
 
     The pivot is the first nonzero entry of the column at or below the
-    current row.  With ``reduced`` every other row is cleared in the pivot
-    column, leaving A in reduced row echelon form; without it only the rows
-    below the pivot are.  Returns the pivot columns and the row swaps made,
-    as (current row, pivot row) pairs in order.
+    current row; every other row is cleared in the pivot column.  Returns
+    the pivot columns and the row swaps made, as (current row, pivot row)
+    pairs in order.
     """
     m, n = A.shape
     pivots = []
@@ -101,16 +102,9 @@ def _sweep(A: np.ndarray, p: int, reduced: bool):
             swaps.append((r, i))
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = (A[r, c:] * inv) % p
-        if reduced:
-            f = A[:, c].copy()
-            f[r] = 0
-            rows = np.nonzero(f)[0]
-            if rows.size:
-                A[rows, c:] = (A[rows, c:] - f[rows, None] * A[r, c:][None, :]) % p
-        else:
-            f = A[r + 1 :, c]
-            if f.size:
-                A[r + 1 :, c:] = (A[r + 1 :, c:] - f[:, None] * A[r, c:][None, :]) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        A[:, c:] = (A[:, c:] - f[:, None] * A[r, c:]) % p
         pivots.append(c)
         r += 1
         if r == m:
@@ -214,7 +208,7 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
         if r == m:
             break
         c1 = min(c0 + _PANEL, n)
-        local, swaps = _sweep(W[r:, c0:c1].astype(np.int64), p, reduced=False)
+        local, swaps = _sweep(W[r:, c0:c1].astype(np.int64), p)
         k = len(local)
         for a, b in swaps:
             W[[r + a, r + b], c0:] = W[[r + b, r + a], c0:]
@@ -222,7 +216,7 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
         pivots += cols
         if k and c1 < n and r + k < m:
             aug = np.hstack([W[r : r + k, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
-            _sweep(aug, p, reduced=True)  # leaves B^-1 in the right half
+            _sweep(aug, p)  # leaves B^-1 in the right half
             X = matmul_mod_p(aug[:, k:], W[r : r + k, c1:], p)  # B^-1 R
             hi, lo = _limbs(X, p)
             for i in range(r + k, m, _CHUNK):
@@ -241,7 +235,7 @@ def rref_mod_p(M: PrimeMatrix):
     """Reduced row echelon form (int64) and pivot column list by the
     per-column sweep, faster than the blocked update below ~100 columns."""
     R = M.arr.copy()
-    return R, _sweep(R, M.p, reduced=True)[0]
+    return R, _sweep(R, M.p)[0]
 
 
 def kernel_basis_mod_p(M: PrimeMatrix) -> np.ndarray:

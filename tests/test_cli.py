@@ -404,6 +404,17 @@ class TestCache:
         assert main(argv) == 0
         assert Path("w.json").read_text() == content
 
+    def test_failed_file_write_stores_nothing(self, tmp_path, capsys, monkeypatch):
+        def crash(path, content):
+            raise OSError("simulated full disk")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "write_atomic", crash)
+        argv = ["witness", "3", "2", "--seed", "4", "--out", "w.json", "--cache", "c.jsonl"]
+        assert main(argv) == 4
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []  # no record to replay a lost file
+
     def test_env_var_cache_path(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "envcache.jsonl"
         monkeypatch.setenv("PYLAB_CACHE", str(cache))
@@ -588,6 +599,20 @@ class TestAtomicWrites:
                               env={**os.environ, "PYTHONPATH": src})
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "through\n", "")
 
+    def test_stdout_redirected_to_a_file_keeps_the_summary(self, tmp_path):
+        # replacing the file stdout is open on would cut off what follows
+        code = "import sys; from soslen.cli import main; sys.exit(main())"
+        argv = [sys.executable, "-c", code, "witness", "3", "2", "--out", "/dev/stdout"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYLAB_CACHE", None)
+        piped = subprocess.run(argv, capture_output=True, env=env, cwd=tmp_path)
+        with open(tmp_path / "out.txt", "wb") as fh:
+            redirected = subprocess.run(argv, stdout=fh, env=env, cwd=tmp_path)
+        assert piped.returncode == redirected.returncode == 0
+        assert b"witness n=3 d=2" in piped.stdout
+        assert (tmp_path / "out.txt").read_bytes() == piped.stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
     def test_certificate_and_replay_writes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         argv = ["witness", "3", "2", "--seed", "4", "--out", "w.json", "--cache", "c.jsonl"]
@@ -687,6 +712,18 @@ class TestFileErrors:
         monkeypatch.setattr(cli.witness, "build_witness", no_build)
         out = str(tmp_path / "missing" / "c.json")
         self._assert_usage_error(["witness", "3", "2", "--seed", "4", "--out", out], capsys)
+
+    def test_witness_default_name_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the certificate was built for an unwritable default name")
+
+        monkeypatch.setattr(cli.witness, "build_witness", no_build)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        (tmp_path / "witness_n3_d2_s3.json").mkdir()
+        self._assert_usage_error(["witness", "3", "2"], capsys)
+        (tmp_path / "witness_n3_d2_s4.json").mkdir()
+        self._assert_usage_error(["witness", "3", "2", "4"], capsys)
 
     def test_gramcheck_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

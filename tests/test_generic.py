@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soslen.generic as generic
-from soslen.bounds import binomial, dim_forms
+from soslen.bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from soslen.errors import GenericityError, GuardError, InternalCheckError
 from soslen.generic import (
     DEFAULT_SEED,
@@ -24,7 +24,7 @@ from soslen.generic import (
 )
 from soslen.linalg import DEFAULT_PRIMES, P1, P2, PrimeMatrix, kernel_basis_mod_p, rank_mod_p
 from soslen.primes import is_probable_prime
-from soslen.ring import monomials
+from soslen.ring import monomials, product_index_table
 from soslen.witness import build_witness
 
 # largest prime whose residues multiply without overflowing int64
@@ -45,12 +45,28 @@ def reference_eval_matrix(points, n, e, p):
              for mono in monomials(n, e)] for pt in points]
 
 
+def reference_pair_product_rows(vecs, n, d, p):
+    """Coefficient rows of the products v_i v_j, i <= j, scattered one
+    outer product at a time through the product index table; independent
+    of ``matmul_mod_p``, which the evaluation form also uses."""
+    b = vecs.shape[0]
+    T = np.asarray(product_index_table(n, d, d), dtype=np.int64).ravel()
+    rows = np.zeros((b * (b + 1) // 2, dim_forms(n, 2 * d)), dtype=np.int64)
+    k = 0
+    for i in range(b):
+        for j in range(i, b):
+            outer = vecs[i][:, None] * vecs[j][None, :] % p
+            np.add.at(rows[k], T, outer.ravel())
+            k += 1
+    return rows
+
+
 def coefficient_rank(vectors, n, d, p):
     """Rank of the pair products in coefficient form: the loop the
     evaluation form replaced for p > 2d, kept for p <= 2d."""
     vecs = np.array([[int(x) % p for x in v] for v in vectors],
                     dtype=np.int64).reshape(len(vectors), dim_forms(n, d))
-    return rank_mod_p(PrimeMatrix(generic._pair_product_rows(vecs, n, d, p), p))
+    return rank_mod_p(PrimeMatrix(reference_pair_product_rows(vecs, n, d, p), p))
 
 
 class TestSampling:
@@ -175,6 +191,20 @@ class TestPairProductsRank:
         assert not calls
         assert generic.pair_products_rank(eye, 3, 3, 5) == 28
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 101, P1))
+    def test_coefficient_rows_match_reference(self, p):
+        rng = np.random.default_rng(p)
+        for n, d in ((2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)):
+            N_d = dim_forms(n, d)
+            for b in (0, 1, int(rng.integers(2, 8))):
+                vecs = rng.integers(0, p, (b, N_d), dtype=np.int64)
+                if b >= 3:
+                    vecs[1] = 0
+                    vecs[-1] = vecs[0]
+                rows = generic._pair_product_rows(vecs, n, d, p)
+                assert rows.shape == (b * (b + 1) // 2, dim_forms(n, 2 * d))
+                assert np.array_equal(rows % p, reference_pair_product_rows(vecs, n, d, p) % p)
 
     def test_fallback_at_small_prime(self):
         # mod 5 <= 2d = 6 the lattice points do not separate degree-6 forms;
@@ -367,6 +397,21 @@ class TestTypicalLength:
             "n": 3, "d": 2, "r_found": 3, "certified_lower": 3,
             "fos_cap": 4, "status": "Exact",
         }
+
+    def test_counting_bound_starts_the_only_run(self):
+        # the r <= 2^(n-1) with r N_d - C(r,2) >= N_2d, the only ones that
+        # can fill degree 2d, form one run that starts at lambda_lower
+        for n in range(1, 16):
+            r = np.arange(1, 2 ** (n - 1) + 1, dtype=np.int64)
+            for d in range(1, 41):
+                params = DegreeParams(n, d)
+                assert params.N_2d < 2**62
+                fills = np.flatnonzero(r * params.N_d - r * (r - 1) // 2 >= params.N_2d) + 1
+                lower = lambda_lower(params)[1]
+                if fills.size:
+                    assert fills[0] == lower and fills[-1] - fills[0] == fills.size - 1
+                else:
+                    assert lower > r[-1]
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
