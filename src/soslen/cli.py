@@ -90,7 +90,10 @@ def _resolve_seed(raw) -> int:
         import random
 
         return random.SystemRandom().randrange(2**63)
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"--seed must be an integer or 'random', got {raw!r}") from None
 
 
 def _check_common_flags(d: dict) -> None:
@@ -300,8 +303,11 @@ def cmd_table(cfg: RunConfig):
         return paper_table_text(), EXIT_OK, {}
     n_min, n_max = cfg.params["n_min"], cfg.params["n_max"]
     d_min, d_max = cfg.params["d_min"], cfg.params["d_max"]
-    if n_min < 3 or d_min < 2 or n_max < n_min or d_max < d_min:
+    if n_min < 3 or d_min < 2:
         raise ValueError("table ranges need n >= 3 and d >= 2")
+    for what, lo, hi in (("n", n_min, n_max), ("d", d_min, d_max)):
+        if hi < lo:
+            raise ValueError(f"empty table range: --{what}-min {lo} > --{what}-max {hi}")
     rows = bounds.bounds_table(range(n_min, n_max + 1), range(d_min, d_max + 1))
     return _render_bounds(rows, cfg.format), EXIT_OK, {}
 

@@ -2,12 +2,13 @@
 
 The prime-field kernels are the performance core of the package.  Moduli
 are limited to primes below 2^31.5, so products of two residues cannot
-overflow int64.  The rank is a blocked elimination: a per-column int64
-sweep finds the pivots of each 32-column panel, and the rest of the matrix
-is updated by exact float64 matrix products (BLAS) on centred 16-bit limbs,
-as in ``matmul_mod_p``.  The sweep is one Gauss-Jordan step per column;
-RREF and kernel, used on narrow evaluation matrices only, run it on the
-whole matrix.
+overflow int64.  The rank is a two-level blocked elimination: a
+per-column int64 sweep finds the pivots of each 32-column panel, mostly
+from its top rows, and the rest of the matrix is updated by exact float64
+matrix products (BLAS) on centred 16-bit limbs, as in ``matmul_mod_p``:
+at once inside the panel's 128-column block, and once per block right of
+it.  The sweep is one Gauss-Jordan step per column; RREF and kernel, used
+on narrow evaluation matrices only, run it on the whole matrix.
 
 The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
@@ -68,12 +69,14 @@ class PrimeMatrix:
         self.shape = self.arr.shape
 
 
-# Panel width of the blocked elimination.  It bounds the inner dimension of
-# every float64 product (_eliminate, matmul_mod_p) and enters the exactness
-# argument in _eliminate.  The per-column sweep grows with it and the BLAS
-# update shrinks; 32 suits the many small matrices of the ik experiments
-# and leaves large eliminations as fast as 64 did.
+# Panel width of the blocked elimination's per-column sweep.  The sweep
+# grows with it and the BLAS update shrinks; 32 suits the many small
+# matrices of the ik experiments.
 _PANEL = 32
+# Columns per block of _eliminate, whose update right of the block is one
+# product per block.  It bounds the inner dimension of every float64 product
+# (_eliminate, matmul_mod_p) and enters the exactness argument in _eliminate.
+_OUTER = 128
 # Rows per block of the trailing update, which bounds its float64 scratch.
 _CHUNK = 256
 _LIMB = 65536.0  # 2^16
@@ -142,8 +145,8 @@ def _reduce(x: np.ndarray, p: int) -> None:
 
 def _limb_product(F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: int) -> np.ndarray:
     """F . (hi * 2^16 + lo) modulo p, as a new float64 array of integers of
-    magnitude below 2^52, for F centred and an inner dimension at most
-    ``_PANEL`` (the exactness argument is in ``_eliminate``)."""
+    magnitude below 2^53, for F centred and an inner dimension at most
+    ``_OUTER`` (the exactness argument is in ``_eliminate``)."""
     t = F @ hi
     _reduce(t, p)
     t *= _LIMB
@@ -163,14 +166,14 @@ def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A . B mod p as an int64 array in [0, p), exactly, for arrays of
     residues in [0, p) (int64 or integral float64) and any inner dimension.
 
-    The inner dimension is taken ``_PANEL`` columns at a time, and the sum
+    The inner dimension is taken ``_OUTER`` columns at a time, and the sum
     is reduced after each chunk, so every float64 value stays below 2^53.
     """
     F = _centred(A, p)
     hi, lo = _limbs(B, p)
     out = np.zeros((A.shape[0], B.shape[1]))
-    for k in range(0, A.shape[1], _PANEL):
-        out += _limb_product(F[:, k : k + _PANEL], hi[k : k + _PANEL], lo[k : k + _PANEL], p)
+    for k in range(0, A.shape[1], _OUTER):
+        out += _limb_product(F[:, k : k + _OUTER], hi[k : k + _OUTER], lo[k : k + _OUTER], p)
         _reduce(out, p)
     return out.astype(np.int64)
 
@@ -183,46 +186,75 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
     column, left to right, that is independent of the earlier ones on the
     rows not yet used).
 
-    Right-looking block elimination: for each panel of ``_PANEL`` columns
-    the per-column sweep runs on an int64 copy of the panel's remaining
-    rows and yields the panel's k pivots and row swaps.  The swaps are
-    replayed on W, so the k pivot rows sit at r..r+k.  With B their k x k
-    block at the pivot columns and R the rows right of the panel, whose own
-    columns are never read again, X = B^-1 R, and every row T below becomes
-    T - F X there, F being T at the pivot columns.
+    Two-level right-looking elimination.  For each panel of ``_PANEL``
+    columns the per-column sweep yields the panel's k pivots and row swaps.
+    It runs on an int64 copy of the panel's top ``2 * _PANEL`` remaining
+    rows first, and on all of them only if the top rows leave a panel
+    column without a pivot: columns independent on some rows are
+    independent on all rows, and the sweep treats each row alike, so the
+    pivots and swaps are the same either way.  The swaps are replayed on W,
+    so the k pivot rows sit at r..r+k.  With B their k x k block at the
+    pivot columns and R the rows right of the panel, whose own columns are
+    never read again, X = B^-1 R, and every row T below becomes T - F X
+    there, F being T at the pivot columns.
+
+    That update is applied at once only inside the panel's block of
+    ``_OUTER`` columns.  Right of the block each panel records its centred F
+    in L and the limbs of its X in Xhi, Xlo; a panel's pivot rows take the
+    pending product L X before it forms its X, and the rows below the
+    block's pivots take it when the block ends, ``_CHUNK`` rows at a time.
 
     Exactness: residues are integers below p <= 3037000499 < 2^53, so
     float64 holds them exactly.  In each product F X, F is centred to
     |f| <= (p-1)/2 < 2^30.5 and X is split into centred 16-bit limbs
     (``_limbs``), so each term has |f * limb| <= 2^45.5, and with an inner
-    dimension k <= 32 every partial sum of the two GEMMs stays below
-    32 * 2^45.5 = 2^50.5 < 2^53, whatever order BLAS adds in.  All sums
-    after that are below 2^52 and ``_reduce`` is exact, so every rank is
-    exact over F_p.  X itself is ``matmul_mod_p`` of B^-1 and R, whose
-    inner dimension is k.
+    dimension at most ``_OUTER`` = 128 every partial sum of the two GEMMs
+    stays below 128 * 2^45.5 = 2^52.5, whatever order BLAS adds in; the
+    reduced high part times 2^16 adds below 2^47.5, and 2^47.5 + 2^52.5 <
+    2^53.  So ``_reduce`` is exact, and every rank is exact over F_p.  X
+    itself is ``matmul_mod_p`` of B^-1 and R, whose inner dimension is k.
     """
     m, n = W.shape
     pivots = []
+    L = np.empty((m, min(_OUTER, n)))
     r = 0
-    for c0 in range(0, n, _PANEL):
-        if r == m:
-            break
-        c1 = min(c0 + _PANEL, n)
-        local, swaps = _sweep(W[r:, c0:c1].astype(np.int64), p)
-        k = len(local)
-        for a, b in swaps:
-            W[[r + a, r + b], c0:] = W[[r + b, r + a], c0:]
-        cols = [c0 + c for c in local]
-        pivots += cols
-        if k and c1 < n and r + k < m:
-            aug = np.hstack([W[r : r + k, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
-            _sweep(aug, p)  # leaves B^-1 in the right half
-            X = matmul_mod_p(aug[:, k:], W[r : r + k, c1:], p)  # B^-1 R
-            hi, lo = _limbs(X, p)
-            for i in range(r + k, m, _CHUNK):
+    for b0 in range(0, n, _OUTER):
+        b1 = min(b0 + _OUTER, n)
+        Xhi = np.empty((b1 - b0, n - b1))
+        Xlo = np.empty_like(Xhi)
+        K = 0  # filled columns of L and rows of Xhi, Xlo
+        for c0 in range(b0, b1, _PANEL):
+            if r == m:
+                return pivots
+            c1 = min(c0 + _PANEL, b1)
+            local, swaps = _sweep(W[r : r + 2 * _PANEL, c0:c1].astype(np.int64), p)
+            if len(local) < c1 - c0 and r + 2 * _PANEL < m:
+                local, swaps = _sweep(W[r:, c0:c1].astype(np.int64), p)
+            k = len(local)
+            for a, b in swaps:
+                W[[r + a, r + b], c0:] = W[[r + b, r + a], c0:]
+                L[[r + a, r + b], :K] = L[[r + b, r + a], :K]
+            cols = [c0 + c for c in local]
+            pivots += cols
+            if k and c1 < n and r + k < m:
+                if K and b1 < n:
+                    _sub_mul(W[r : r + k, b1:], L[r : r + k, :K], Xhi[:K], Xlo[:K], p)
+                aug = np.hstack([W[r : r + k, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
+                _sweep(aug, p)  # leaves B^-1 in the right half
+                X = matmul_mod_p(aug[:, k:], W[r : r + k, c1:], p)  # B^-1 R
+                hi, lo = _limbs(X, p)
+                near = b1 - c1
+                Xhi[K : K + k], Xlo[K : K + k] = hi[:, near:], lo[:, near:]
+                L[r + k :, K : K + k] = _centred(W[r + k :, cols], p)
+                for i in range(r + k, m, _CHUNK):
+                    j = min(i + _CHUNK, m)
+                    _sub_mul(W[i:j, c1:b1], L[i:j, K : K + k], hi[:, :near], lo[:, :near], p)
+                K += k
+            r += k
+        if K and b1 < n:
+            for i in range(r, m, _CHUNK):
                 j = min(i + _CHUNK, m)
-                _sub_mul(W[i:j, c1:], _centred(W[i:j, cols], p), hi, lo, p)
-        r += k
+                _sub_mul(W[i:j, b1:], L[i:j, :K], Xhi[:K], Xlo[:K], p)
     return pivots
 
 

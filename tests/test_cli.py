@@ -88,6 +88,18 @@ class TestBoundsCommand:
         assert main(["bounds", "2", "1"]) == 4
         assert main(["table", "--n-min", "1"]) == 4
 
+    def test_empty_table_range_is_named(self, capsys):
+        assert main(["table", "--n-min", "5", "--n-max", "3"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "soslen: error: empty table range: --n-min 5 > --n-max 3\n"
+
+    def test_non_integer_seed_is_named(self, capsys):
+        assert main(["ik", "3", "2", "5", "--seed", "abc"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "soslen: error: --seed must be an integer or 'random', got 'abc'\n"
+
 
 class TestIkCommand:
     def test_single_instance(self, capsys):

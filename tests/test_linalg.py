@@ -357,33 +357,32 @@ def assert_matches_reference(A, p):
 
 
 def _mod_product(B, C, p):
-    """B . C mod p without int64 overflow (every product is below p^2 < 2^63)."""
-    A = np.zeros((B.shape[0], C.shape[1]), dtype=np.int64)
-    for t in range(B.shape[1]):
-        A = (A + B[:, t, None] * C[None, t, :] % p) % p
-    return A
+    """B . C mod p without int64 overflow, for residues and an inner
+    dimension below 2^15: C is split into 16-bit halves, so every term is
+    below 2^31.5 * 2^16 and every sum below 2^62.5."""
+    return ((B @ (C >> 16) % p) * 65536 + B @ (C & 0xFFFF)) % p
 
 
-PANEL_EDGE_COLUMNS = (31, 32, 33, 63, 64, 65, 96, 97, 128, 129)
+PANEL_EDGE_COLUMNS = (31, 32, 33, 63, 64, 65, 96, 97, 127, 128, 129, 255, 256, 257)
 
 
 @st.composite
 def panel_instances(draw):
-    """(A, p, k): A = B.C mod p of rank exactly k with up to 200 columns.
+    """(A, p, k): A = B.C mod p of rank exactly k with up to 300 columns.
 
     Built as in known_rank_instances, then one block of columns, as wide as
-    a unit of 64 or of ``_PANEL`` columns, is inserted at a multiple of that
-    unit: all zero ("zero_panel") or a copy of the first columns
-    ("duplicated_block"), so that whole panels hold no pivot.  Zero rows on
+    a unit of 64, ``_PANEL`` or ``_OUTER`` columns, is inserted at a
+    multiple of that unit: all zero ("zero_panel") or a copy of the first
+    columns ("duplicated_block"), so that whole panels hold no pivot.  Zero rows on
     top, or every row twice, make the leading rows of a panel dependent, so
     its pivots need row swaps.
     """
     p = draw(st.sampled_from((101, P1, P2, INT64_EDGE_PRIME)))
     shape = draw(st.sampled_from(("tall", "wide", "zero", "equal_rows")))
     layout = draw(st.sampled_from(("plain", "zero_panel", "duplicated_block")))
-    n = draw(st.one_of(st.sampled_from(PANEL_EDGE_COLUMNS), st.integers(1, 200)))
+    n = draw(st.one_of(st.sampled_from(PANEL_EDGE_COLUMNS), st.integers(1, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    unit = draw(st.sampled_from((64, linalg._PANEL)))
+    unit = draw(st.sampled_from((64, linalg._PANEL, linalg._OUTER)))
     w = 0 if layout == "plain" else min(unit, n // 2)
     n0 = n - w
     if shape == "tall":
@@ -421,6 +420,26 @@ def panel_instances(draw):
     return A, p, k
 
 
+def _assert_sub_mul_exact(inner):
+    """``_sub_mul`` over ``inner`` columns, with F and X near (p-1)/2 at the
+    largest prime, equals the Python-integer T - F.X mod p."""
+    p = INT64_EDGE_PRIME
+    h = (p - 1) // 2
+    rng = np.random.default_rng(3)
+    F = rng.integers(h - 1000, h + 1, (5, inner), dtype=np.int64)
+    X = rng.integers(h - 1000, h + 1, (inner, 7), dtype=np.int64)
+    X[:, :3] = p - X[:, :3]  # centred to -(p-1)/2 + ...: the other sign
+    T = rng.integers(0, p, (5, 7), dtype=np.int64)
+    out = T.astype(np.float64)
+    linalg._sub_mul(out, F.astype(np.float64), *linalg._limbs(X.astype(np.float64), p), p)
+    expected = [
+        [(int(T[i, j]) - sum(int(F[i, t]) * int(X[t, j]) for t in range(inner))) % p
+         for j in range(7)]
+        for i in range(5)
+    ]
+    assert out.astype(np.int64).tolist() == expected
+
+
 class TestBlockedAgainstReference:
     """The blocked kernel against the per-column sweep, across panel edges."""
 
@@ -437,7 +456,7 @@ class TestBlockedAgainstReference:
         p = INT64_EDGE_PRIME
         rng = np.random.default_rng(2)
         values = np.array([p - 1, (p - 1) // 2, (p + 1) // 2], dtype=np.int64)
-        for m, n in ((150, 129), (140, 200), (64, 131)):
+        for m, n in ((150, 129), (140, 200), (64, 131), (300, 270)):
             A = values[rng.integers(0, 3, (m, n))]
             A[2 * m // 3 :] = A[: m - 2 * m // 3]
             rank = assert_matches_reference(A, p)
@@ -465,30 +484,43 @@ class TestBlockedAgainstReference:
         A[::3] = 0  # zero rows among the pivot candidates force row swaps
         assert assert_matches_reference(A, p) == 41
 
+    @pytest.mark.parametrize("p", (101, INT64_EDGE_PRIME))
+    def test_row_swaps_inside_a_block(self, p):
+        # Zero rows among the pivot candidates force row swaps in every
+        # panel, also after the first of a block, where the rows swapped
+        # carry recorded but not yet applied updates of the columns right of
+        # the block.
+        rng = np.random.default_rng(8)
+        A = _mod_product(rng.integers(0, p, (420, 290), dtype=np.int64),
+                         rng.integers(0, p, (290, 300), dtype=np.int64), p)
+        A[::3] = 0
+        assert assert_matches_reference(A, p) == 280
+
+    @pytest.mark.parametrize("p", (101, INT64_EDGE_PRIME))
+    def test_panel_pivots_missing_from_the_top_rows(self, p):
+        # The top 2 * _PANEL rows repeat the first 16 rows and are zero in
+        # column 5, so they hold too few pivots: the first panel's sweep must
+        # fall back to all rows, column 5's pivot among them.
+        rng = np.random.default_rng(7)
+        A = rng.integers(0, p, (200, 150), dtype=np.int64)
+        top = 2 * linalg._PANEL
+        A[:top] = np.tile(A[:16], (top // 16, 1))
+        A[:top, 5] = 0
+        assert assert_matches_reference(A, p) == 150
+
     def test_limb_product_exact_at_panel_width(self):
         # The float64 update T - F.X over an inner dimension of one full
         # panel, with F and X near the largest centred magnitude (p-1)/2 and
         # one sign, so the partial sums reach the bound of the exactness
         # argument; checked against Python integers.
-        from soslen.linalg import _PANEL, _limbs, _sub_mul
+        _assert_sub_mul_exact(linalg._PANEL)
 
-        p = INT64_EDGE_PRIME
-        h = (p - 1) // 2
-        rng = np.random.default_rng(3)
-        F = rng.integers(h - 1000, h + 1, (5, _PANEL), dtype=np.int64)
-        X = rng.integers(h - 1000, h + 1, (_PANEL, 7), dtype=np.int64)
-        X[:, :3] = p - X[:, :3]  # centred to -(p-1)/2 + ...: the other sign
-        T = rng.integers(0, p, (5, 7), dtype=np.int64)
-        out = T.astype(np.float64)
-        _sub_mul(out, F.astype(np.float64), *_limbs(X.astype(np.float64), p), p)
-        expected = [
-            [(int(T[i, j]) - sum(int(F[i, t]) * int(X[t, j]) for t in range(_PANEL))) % p
-             for j in range(7)]
-            for i in range(5)
-        ]
-        assert out.astype(np.int64).tolist() == expected
+    def test_limb_product_exact_at_block_width(self):
+        # The same at the inner dimension of the far update, one full block:
+        # the widest product the exactness argument allows.
+        _assert_sub_mul_exact(linalg._OUTER)
 
-    @pytest.mark.parametrize("inner", (1, 31, 32, 33, 84, 252))
+    @pytest.mark.parametrize("inner", (1, 31, 32, 33, 84, 127, 128, 129, 252, 300))
     def test_matmul_mod_p_exact_for_any_inner_dimension(self, inner):
         # Entries near (p-1)/2 and one sign per row or column, so that an
         # unchunked product over more than 32 inner columns would pass 2^53.
