@@ -37,7 +37,6 @@ _EXPORTS = {
     ),
     "generic": (
         "DimensionReport",
-        "PointSample",
         "Quantity",
         "Status",
         "TypicalLengthResult",
@@ -45,9 +44,7 @@ _EXPORTS = {
         "generic_ideal_dim",
         "ik_expected",
         "ik_verify",
-        "sample_points",
         "typical_length",
-        "vanishing_component",
     ),
     "linalg": (
         "PrimeMatrix",
@@ -58,13 +55,12 @@ _EXPORTS = {
         "rank_rational",
     ),
     "primes": ("DEFAULT_PRIMES", "DEFAULT_SEED", "P1", "P2"),
-    "ring": ("Form", "Point", "mono_rank", "mono_unrank", "monomials"),
+    "ring": ("Form", "mono_rank", "mono_unrank", "monomials"),
     "witness": (
         "GramTensor",
         "LengthCertificate",
         "SosRepresentation",
         "build_witness",
-        "certify_unique_representation",
         "gram_equivalent",
         "gram_tensor",
     ),

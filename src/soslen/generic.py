@@ -36,10 +36,6 @@ __all__ = [
     "Quantity",
     "Status",
     "DimensionReport",
-    "PointSample",
-    "sample_points",
-    "VanishingComponent",
-    "vanishing_component",
     "pair_products_rank",
     "dim_square_component",
     "EXCEPTIONAL_TRIPLES",
@@ -63,7 +59,6 @@ def derive_seed(base: int, *tags) -> int:
 
 
 class Quantity(str, Enum):
-    DIM_VANISHING_D = "DimVanishing_d"
     DIM_SQUARE_COMPONENT_2D = "DimSquareComponent_2d"
     HILBERT_H_2D = "HilbertH2d"
     GENERIC_IDEAL_DIM_M_R = "GenericIdealDim_m_r"
@@ -94,18 +89,6 @@ class DimensionReport:
     def to_dict(self) -> dict:
         return {**vars(self), "quantity": self.quantity.value,
                 "status": self.status.value, "primes": list(self.primes)}
-
-
-@dataclass(frozen=True)
-class PointSample:
-    """Random points over F_p that passed the genericity gate."""
-
-    n: int
-    d: int
-    s: int
-    prime: int
-    seed: int
-    points: tuple[tuple[int, ...], ...]
 
 
 def _raw_points(n: int, s: int, lo: int, hi: int, rng: random.Random) -> list[tuple[int, ...]]:
@@ -166,52 +149,6 @@ def _sample_instance(n, d, s, seed, primes):
         f"no generic sample of {s} points found in {_SAMPLE_ROUNDS} rounds at "
         f"(n={n}, d={d}); prime too small or pathological parameters"
     )
-
-
-def sample_points(n: int, d: int, s: int, seed: int, prime: int) -> PointSample:
-    """Random points whose degree-d evaluation matrix has rank min(s, N_d)."""
-    if n < 1 or d < 1 or s < 1:
-        raise ValueError(f"need n, d, s >= 1, got ({n}, {d}, {s})")
-    pts = _sample_instance(n, d, s, seed, (prime,))
-    return PointSample(n=n, d=d, s=s, prime=prime, seed=seed, points=pts)
-
-
-@dataclass(frozen=True)
-class VanishingComponent:
-    """Kernel of the evaluation matrix: the degree-d vanishing forms."""
-
-    dim: int
-    basis: object  # (dim x N_d) array of residues mod the sample's prime
-    sample: PointSample
-    report: DimensionReport
-
-
-def vanishing_component(sample: PointSample, d: int) -> VanishingComponent:
-    """Degree-d component of the vanishing ideal of the sampled points."""
-    n, s = sample.n, sample.s
-    N_d = dim_forms(n, d)
-    if s > N_d:
-        raise ValueError(f"vanishing component needs s <= N_d, got s={s} > {N_d}")
-    mat = PrimeMatrix(_eval_matrix_mod_p(sample.points, n, d, sample.prime), sample.prime)
-    basis = kernel_basis_mod_p(mat)
-    dim = len(basis)
-    if dim != N_d - s:
-        raise InternalCheckError(
-            f"vanishing dimension {dim} != N_d - s = {N_d - s} after gate"
-        )
-    report = DimensionReport(
-        quantity=Quantity.DIM_VANISHING_D,
-        computed=dim,
-        expected=N_d - s,
-        status=Status.VERIFIED,
-        n=n,
-        d=d,
-        s=s,
-        r=None,
-        seed=sample.seed,
-        primes=(sample.prime,),
-    )
-    return VanishingComponent(dim=dim, basis=basis, sample=sample, report=report)
 
 
 @lru_cache(maxsize=4)
@@ -560,10 +497,12 @@ def run_jobs(worker, kwargs_list, parallelism: int = 1):
     """Run independent experiment jobs, results in submission order.
 
     Each job owns its matrices, so jobs only share read-only tables; with
-    parallelism > 1 they are dispatched to a process pool.
+    more than one worker they are dispatched to a process pool of at most
+    one worker per job, since the pool starts all its workers at once.
     """
     jobs = [(worker, kwargs) for kwargs in kwargs_list]
-    if parallelism <= 1:
+    workers = min(parallelism, len(jobs))
+    if workers <= 1:
         return [_call_with_kwargs(job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_call_with_kwargs, jobs))

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add
 
 from .bounds import binomial, dim_forms
 
@@ -19,10 +19,8 @@ __all__ = [
     "monomials",
     "mono_rank",
     "mono_unrank",
-    "Point",
     "Form",
     "multiply",
-    "evaluate",
     "product_index_table",
     "form_to_text",
 ]
@@ -95,22 +93,6 @@ def product_index_table(n: int, e1: int, e2: int) -> tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
-class Point:
-    """A projective point, stored through one choice of coordinates."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if not self.coords or all(c == 0 for c in self.coords):
-            raise ValueError("a point needs at least one nonzero coordinate")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
 class Form:
     """A homogeneous polynomial with rational coefficients, stored densely.
 
@@ -132,22 +114,8 @@ class Form:
             )
 
     @classmethod
-    def zero(cls, n, degree):
-        return cls(n, degree, (Fraction(0),) * dim_forms(n, degree))
-
-    @classmethod
     def from_coeffs(cls, n, degree, coeffs):
         return cls(n, degree, tuple(Fraction(c) for c in coeffs))
-
-    @classmethod
-    def from_terms(cls, n, degree, terms):
-        """Build from {exponent tuple: coefficient}."""
-        coeffs = [Fraction(0)] * dim_forms(n, degree)
-        for expo, c in terms.items():
-            if sum(expo) != degree or len(expo) != n:
-                raise ValueError(f"term {expo} does not have degree {degree} in {n} vars")
-            coeffs[mono_rank(expo)] += Fraction(c)
-        return cls(n, degree, tuple(coeffs))
 
     def __add__(self, other: "Form") -> "Form":
         self._check_compatible(other, same_degree=True)
@@ -155,21 +123,9 @@ class Form:
             self.n, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __sub__(self, other: "Form") -> "Form":
-        self._check_compatible(other, same_degree=True)
-        return Form(
-            self.n, self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def scale(self, c) -> "Form":
         c = Fraction(c)
         return Form(self.n, self.degree, tuple(c * a for a in self.coeffs))
-
-    def __mul__(self, other: "Form") -> "Form":
-        return multiply(self, other)
-
-    def evaluate(self, point: Point):
-        return evaluate(self, point)
 
     def _check_compatible(self, other: "Form", same_degree: bool = False):
         if not isinstance(other, Form):
@@ -223,18 +179,6 @@ def _eval_rows_int(points, n: int, e: int) -> list[list]:
             row.append(val)
         rows.append(row)
     return rows
-
-
-def evaluate(f: Form, point: Point):
-    """Value of f at the point's coordinate representative.
-
-    Homogeneous, so rescaling the coordinates by c rescales the value by
-    c**degree.
-    """
-    if point.n != f.n:
-        raise ValueError(f"point has {point.n} coordinates, form has {f.n} variables")
-    (row,) = _eval_rows_int([point.coords], f.n, f.degree)
-    return sum(map(mul, f.coeffs, row), Fraction(0))
 
 
 def _coeff_to_text(c) -> str:

@@ -44,7 +44,7 @@ from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
 from .fileio import canonical_json, write_atomic
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
-from .ring import Form, Point, _cleared, _eval_rows_int, product_index_table
+from .ring import Form, _cleared, _eval_rows_int, product_index_table
 
 __all__ = [
     "COORD_BOUND",
@@ -55,7 +55,6 @@ __all__ = [
     "basis_representation",
     "gram_tensor",
     "gram_equivalent",
-    "certify_unique_representation",
     "random_rational_orthogonal",
     "mix_representation",
     "random_mix",
@@ -141,13 +140,6 @@ class SosRepresentation:
         total = _square_sum(gram, n, d)
         if tuple(total) != self.target.coeffs or self.target.degree != 2 * d:
             raise ValueError("summand squares do not sum to the stated target")
-
-    @classmethod
-    def from_summands(cls, summands) -> "SosRepresentation":
-        summands = tuple(summands)
-        n, d = summands[0].n, summands[0].degree
-        total = _sum_of_squares_int([q.coeffs for q in summands], n, d)
-        return cls(summands=summands, target=Form.from_coeffs(n, 2 * d, total))
 
     @property
     def n(self) -> int:
@@ -334,27 +326,6 @@ def basis_representation(cert: LengthCertificate) -> SosRepresentation:
     summands = [Form.from_coeffs(cert.n, cert.d, v) for v in cert.basis]
     target = Form.from_coeffs(cert.n, 2 * cert.d, cert.witness)
     return SosRepresentation(summands=tuple(summands), target=target)
-
-
-def certify_unique_representation(cert: LengthCertificate, alt: SosRepresentation) -> bool:
-    """Check that an alternative representation of the witness is equivalent.
-
-    Every summand must vanish on the certified points (over the reals this
-    is forced by the target vanishing there); the decision is then exact
-    tensor comparison against the basis representation.
-    """
-    if (alt.n, alt.d) != (cert.n, cert.d):
-        raise ValueError("representation does not match the certificate's degrees")
-    if alt.target.coeffs != cert.witness:
-        raise ValueError("representation target differs from the certificate witness")
-    for q in alt.summands:
-        for coords in cert.points:
-            if q.evaluate(Point(coords)) != 0:
-                raise ValueError(
-                    "summand does not vanish on the certified points; "
-                    "it cannot occur in any representation of the witness"
-                )
-    return gram_equivalent(alt, basis_representation(cert))
 
 
 # (leg, leg, hypotenuse): rational cos/sin pairs for exact rotations

@@ -260,6 +260,19 @@ class TestStandaloneVerifierMalformed:
 VERIFIER = Path(__file__).resolve().parents[1] / "scripts" / "verify_certificate.py"
 
 
+def test_reproduction_script_verifies_every_row():
+    proc = subprocess.run([sys.executable, str(VERIFIER.parent / "reproduce_tables.py")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(VERIFIER.parents[1] / "src")})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert paper_table_text() in proc.stdout
+    results = [ln for ln in proc.stdout.splitlines() if ln.startswith("  ")]
+    # 7 ternary identities, 3 exceptional triples, 17 typical lengths, 2 ratios
+    assert len(results) == 29 and any(ln.startswith("  t(4,20) = 7 ") for ln in results)
+    bad = [ln for ln in results if not any(w in ln for w in ("Verified", "Exact", "True"))]
+    assert bad == []
+
+
 class TestStandaloneVerifierIndependence:
     """The verifier shares no code with the package whose certificates it
     checks: it imports the standard library only and runs without the

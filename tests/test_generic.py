@@ -18,9 +18,7 @@ from soslen.generic import (
     ik_expected,
     ik_verify,
     run_jobs,
-    sample_points,
     typical_length,
-    vanishing_component,
 )
 from soslen.linalg import DEFAULT_PRIMES, P1, P2, PrimeMatrix, kernel_basis_mod_p, rank_mod_p
 from soslen.primes import is_probable_prime
@@ -71,25 +69,21 @@ def coefficient_rank(vectors, n, d, p):
 
 class TestSampling:
     def test_deterministic_replay(self):
-        a = sample_points(3, 2, 3, seed=99, prime=P1)
-        b = sample_points(3, 2, 3, seed=99, prime=P1)
+        a = generic._sample_instance(3, 2, 3, 99, (P1,))
+        b = generic._sample_instance(3, 2, 3, 99, (P1,))
         assert a == b
-        c = sample_points(3, 2, 3, seed=100, prime=P1)
-        assert a.points != c.points
+        c = generic._sample_instance(3, 2, 3, 100, (P1,))
+        assert a != c
 
     def test_more_points_than_monomials(self):
-        sp = sample_points(3, 2, 7, seed=5, prime=P1)
-        mat = PrimeMatrix(generic._eval_matrix_mod_p(sp.points, 3, 2, P1), P1)
+        points = generic._sample_instance(3, 2, 7, 5, (P1,))
+        mat = PrimeMatrix(generic._eval_matrix_mod_p(points, 3, 2, P1), P1)
         assert rank_mod_p(mat) == 6  # capped at N_{3,2}
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            sample_points(3, 2, 0, seed=1, prime=P1)
 
     def test_tiny_prime_fails_genericity(self):
         # F_2 has too few points for 5 of them to impose independent conditions
         with pytest.raises(GenericityError):
-            sample_points(3, 2, 5, seed=1, prime=2)
+            generic._sample_instance(3, 2, 5, 1, (2,))
 
     def test_seed_derivation_is_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
@@ -212,26 +206,13 @@ class TestPairProductsRank:
         assert generic.pair_products_rank(np.eye(10), 3, 3, 5) == 28
 
 
-class TestVanishingComponent:
+class TestVanishingDimension:
     def test_dimensions(self):
-        vc = vanishing_component(sample_points(3, 3, 6, seed=2, prime=P1), 3)
-        assert vc.dim == 4
-        vc = vanishing_component(sample_points(4, 2, 9, seed=2, prime=P1), 2)
-        assert vc.dim == 1
-        vc = vanishing_component(sample_points(3, 2, 6, seed=2, prime=P1), 2)
-        assert vc.dim == 0
-
-    def test_requires_s_at_most_dimension(self):
-        sp = sample_points(3, 2, 7, seed=5, prime=P1)
-        with pytest.raises(ValueError):
-            vanishing_component(sp, 2)
-
-    def test_report_fields(self):
-        vc = vanishing_component(sample_points(3, 3, 6, seed=2, prime=P1), 3)
-        rep = vc.report
-        assert rep.quantity is Quantity.DIM_VANISHING_D
-        assert rep.status is Status.VERIFIED
-        assert rep.computed == rep.expected == 4
+        # the degree-d forms vanishing on s gated points: N_d - s of them
+        for n, d, s, dim in ((3, 3, 6, 4), (4, 2, 9, 1), (3, 2, 6, 0)):
+            points = generic._sample_instance(n, d, s, 2, (P1,))
+            mat = PrimeMatrix(generic._eval_matrix_mod_p(points, n, d, P1), P1)
+            assert len(kernel_basis_mod_p(mat)) == dim == dim_forms(n, d) - s
 
 
 class TestIkExpected:
@@ -426,3 +407,34 @@ class TestWorkQueue:
         parallel = run_jobs(ik_verify, jobs, parallelism=2)
         assert serial == parallel
         assert [r.s for r in serial] == [3, 4, 5]
+
+    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
+        # the real pool forks all its workers at the first submit, so a
+        # recording stand-in checks the size asked for without forking
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(generic.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+
+        def double(x):
+            return 2 * x
+
+        jobs = [dict(x=x) for x in range(3)]
+        assert run_jobs(double, jobs, parallelism=100_000) == [0, 2, 4]
+        assert run_jobs(double, jobs, parallelism=2) == [0, 2, 4]
+        assert sizes == [3, 2]
+        assert run_jobs(double, jobs[:1], parallelism=8) == [0]
+        assert run_jobs(double, [], parallelism=8) == []
+        assert sizes == [3, 2]  # one job or none runs serially, with no pool

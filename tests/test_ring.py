@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 from soslen.bounds import dim_forms
 from soslen.ring import (
     Form,
-    Point,
-    evaluate,
+    _eval_rows_int,
     form_to_text,
     mono_rank,
     mono_unrank,
     monomials,
+    multiply,
     product_index_table,
 )
 
@@ -36,6 +37,18 @@ def enumerate_oracle(n, e):
 
 def small_form(n, e, rng_coeffs):
     return Form.from_coeffs(n, e, rng_coeffs[: dim_forms(n, e)])
+
+
+def form(n, e, terms):
+    """The form with coefficients {exponent tuple: coefficient}."""
+    return Form.from_coeffs(n, e, [terms.get(m, 0) for m in monomials(n, e)])
+
+
+def evaluate(f, coords):
+    """Value of f at the coordinates, one Python power product per monomial;
+    independent of ``_eval_rows_int``."""
+    return sum(c * math.prod(x**k for x, k in zip(coords, mono))
+               for c, mono in zip(f.coeffs, monomials(f.n, f.degree)))
 
 
 class TestMonomialIndexing:
@@ -81,28 +94,26 @@ coeff_lists = st.lists(st.integers(-30, 30), min_size=28, max_size=28)
 
 class TestFormArithmetic:
     def test_x_times_x(self):
-        x = Form.from_terms(2, 1, {(1, 0): 1})
-        assert (x * x).coeffs == Form.from_terms(2, 2, {(2, 0): 1}).coeffs
+        x = form(2, 1, {(1, 0): 1})
+        assert multiply(x, x).coeffs == form(2, 2, {(2, 0): 1}).coeffs
 
     def test_square_of_sum(self):
-        x = Form.from_terms(2, 1, {(1, 0): 1})
-        y = Form.from_terms(2, 1, {(0, 1): 1})
-        expect = Form.from_terms(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-        assert ((x + y) * (x + y)).coeffs == expect.coeffs
+        x = form(2, 1, {(1, 0): 1})
+        y = form(2, 1, {(0, 1): 1})
+        expect = form(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        assert multiply(x + y, x + y).coeffs == expect.coeffs
 
     def test_evaluate_examples(self):
-        f = Form.from_terms(3, 2, {(2, 0, 0): 1})
-        assert f.evaluate(Point((2, 0, 0))) == 4
-        zero = Form.zero(3, 4)
-        assert zero.evaluate(Point((1, 2, 3))) == 0
-
-    def test_point_needs_nonzero_coordinate(self):
-        with pytest.raises(ValueError):
-            Point((0, 0, 0))
+        # x1^2 comes first in index order and is the only monomial nonzero at (2, 0, 0)
+        assert _eval_rows_int([(2, 0, 0)], 3, 2) == [[4, 0, 0, 0, 0, 0]]
+        assert _eval_rows_int([(1, 2, 3)], 3, 0) == [[1]]
+        # x1^3, x1^2 x2, x1 x2^2, x2^3 at (-2, 3) and at (2, -3)
+        assert _eval_rows_int([(-2, 3), (2, -3)], 2, 3) == [[-8, 12, -18, 27],
+                                                           [8, -12, 18, -27]]
 
     def test_degree_mismatch_rejected_for_add(self):
         with pytest.raises(ValueError):
-            Form.zero(2, 1) + Form.zero(2, 2)
+            Form.from_coeffs(2, 1, [0] * 2) + Form.from_coeffs(2, 2, [0] * 3)
 
     @given(coeff_lists, coeff_lists, st.sampled_from(PRIMES), st.data())
     @settings(max_examples=60, deadline=None)
@@ -110,13 +121,12 @@ class TestFormArithmetic:
         # residues mod p as coefficients and coordinates, checked exactly over Q
         f = small_form(3, 2, [c % p for c in cf])
         g = small_form(3, 3, [c % p for c in cg])
-        fg = f * g
+        fg = multiply(f, g)
         for _ in range(5):
             coords = data.draw(
                 st.tuples(st.integers(0, p - 1), st.integers(0, p - 1), st.integers(1, p - 1))
             )
-            P = Point(coords)
-            assert fg.evaluate(P) == f.evaluate(P) * g.evaluate(P)
+            assert evaluate(fg, coords) == evaluate(f, coords) * evaluate(g, coords)
 
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=40)
@@ -124,26 +134,14 @@ class TestFormArithmetic:
         f = small_form(3, 2, cf)
         g = small_form(3, 2, cg)
         h = small_form(3, 2, list(reversed(cf)))
-        assert (f * g).coeffs == (g * f).coeffs
-        assert (f * (g + h)).coeffs == ((f * g) + (f * h)).coeffs
-
-    @given(coeff_lists, st.integers(1, 40), st.integers(-20, 20))
-    @settings(max_examples=40)
-    def test_homogeneity(self, cf, cnum, cden_raw):
-        c = Fraction(cnum, cden_raw if cden_raw != 0 else 7)
-        f = small_form(3, 3, cf)
-        P = Point((2, -3, 5))
-        scaled = Point(tuple(c * x for x in P.coords)) if c != 0 else None
-        if scaled is not None:
-            assert f.evaluate(scaled) == c**3 * f.evaluate(P)
+        assert multiply(f, g).coeffs == multiply(g, f).coeffs
+        assert multiply(f, g + h).coeffs == (multiply(f, g) + multiply(f, h)).coeffs
 
 
 class TestTextFormat:
     def test_zero(self):
-        assert form_to_text(Form.zero(2, 2)) == "0"
+        assert form_to_text(Form.from_coeffs(2, 2, [0, 0, 0])) == "0"
 
     def test_fractions_and_signs(self):
-        f = Form.from_terms(
-            2, 2, {(2, 0): Fraction(1, 2), (1, 1): -3, (0, 2): 4}
-        )
+        f = form(2, 2, {(2, 0): Fraction(1, 2), (1, 1): -3, (0, 2): 4})
         assert form_to_text(f) == "1/2 * x1^2 x2^0 + -3 * x1^1 x2^1 + 4 * x1^0 x2^2"

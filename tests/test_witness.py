@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from soslen import cli, generic, linalg
 from soslen.bounds import binomial, dim_forms
 from soslen.linalg import RationalMatrix, rank_rational
-from soslen.ring import Form, Point, product_index_table
+from soslen.ring import Form, monomials, multiply, product_index_table
 from soslen.witness import (
     SosRepresentation,
     _sum_of_squares_int,
     basis_representation,
     build_witness,
-    certify_unique_representation,
     gram_equivalent,
     gram_tensor,
     load_certificate,
@@ -28,9 +27,9 @@ from soslen.witness import (
 )
 
 
-def x_form(n, i, d=1):
-    expo = tuple(d if j == i else 0 for j in range(n))
-    return Form.from_terms(n, d, {expo: 1})
+def x_form(n, i):
+    """The linear form x_i."""
+    return Form.from_coeffs(n, 1, [int(j == i) for j in range(n)])
 
 
 # The pairwise loops that the integer Gram kernel replaced, kept as oracles:
@@ -68,12 +67,26 @@ def reference_gram_matrix(rep):
 def reference_mix(rep, matrix):
     new = []
     for j in range(len(rep.summands)):
-        q = Form.zero(rep.n, rep.d)
+        q = Form.from_coeffs(rep.n, rep.d, [0] * dim_forms(rep.n, rep.d))
         for i, p_i in enumerate(rep.summands):
             if matrix[i][j]:
                 q = q + p_i.scale(matrix[i][j])
         new.append(q)
     return tuple(new)
+
+
+def representation(summands):
+    """The representation of the summands' sum of squares, with the target
+    from the reference loop, so the constructor's own check is tested."""
+    n, d = summands[0].n, summands[0].degree
+    target = reference_sum_of_squares([q.coeffs for q in summands], n, d)
+    return SosRepresentation(summands=tuple(summands), target=Form.from_coeffs(n, 2 * d, target))
+
+
+def evaluate(f, coords):
+    """Value of f at the coordinates, one Python power product per monomial."""
+    return sum(c * math.prod(x**k for x, k in zip(coords, mono))
+               for c, mono in zip(f.coeffs, monomials(f.n, f.degree)))
 
 
 _BIG = 2**3999  # entries of about 4000 bits, the size of a (3,10) basis
@@ -119,7 +132,6 @@ class TestIntegerGramKernel:
         target = Form.from_coeffs(n, 2 * d, reference_sum_of_squares(vectors, n, d))
         rep = SosRepresentation(summands=forms, target=target)
         assert gram_tensor(rep).matrix == reference_gram_matrix(rep)
-        assert SosRepresentation.from_summands(forms).target == target
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 2**32))
@@ -162,9 +174,9 @@ class TestBuildWitness:
         assert len(rep.summands) == cert.length
         witness = Form.from_coeffs(3, 6, cert.witness)
         for coords in cert.points:
-            assert witness.evaluate(Point(coords)) == 0
+            assert evaluate(witness, coords) == 0
             for q in rep.summands:
-                assert q.evaluate(Point(coords)) == 0
+                assert evaluate(q, coords) == 0
 
     def test_basis_is_canonical(self):
         cert = build_witness(3, 3, 6, seed=21)
@@ -223,15 +235,15 @@ class TestDegreeBelowGate:
 class TestGramTensor:
     def test_identity_block(self):
         x, y = x_form(2, 0), x_form(2, 1)
-        g = gram_tensor(SosRepresentation.from_summands((x, y)))
+        g = gram_tensor(representation((x, y)))
         assert g.matrix == ((1, 0), (0, 1))
 
     def test_rotation_has_same_tensor(self):
         x, y = x_form(2, 0), x_form(2, 1)
-        rep1 = SosRepresentation.from_summands((x, y))
+        rep1 = representation((x, y))
         r1 = x.scale(Fraction(3, 5)) + y.scale(Fraction(4, 5))
         r2 = x.scale(Fraction(4, 5)) + y.scale(Fraction(-3, 5))
-        rep2 = SosRepresentation.from_summands((r1, r2))
+        rep2 = representation((r1, r2))
         assert gram_equivalent(rep1, rep2)
 
     def test_rank_equals_certificate_length(self):
@@ -241,22 +253,22 @@ class TestGramTensor:
 
     def test_different_targets_rejected(self):
         x, y = x_form(2, 0), x_form(2, 1)
-        rep1 = SosRepresentation.from_summands((x, y))
-        rep2 = SosRepresentation.from_summands((x + y, x - y))  # 2x^2 + 2y^2
+        rep1 = representation((x, y))
+        rep2 = representation((x + y, x + y.scale(-1)))  # 2x^2 + 2y^2
         with pytest.raises(ValueError):
             gram_equivalent(rep1, rep2)
 
     def test_same_target_different_tensor_is_not_equivalent(self, tmp_path, capsys):
         x, y = x_form(2, 0), x_form(2, 1)
-        xx, yy, xy = x * x, y * y, x * y
-        rep1 = SosRepresentation.from_summands((xx + yy,))
-        rep2 = SosRepresentation.from_summands((xx - yy, xy.scale(2)))  # (x^2+y^2)^2 again
+        xx, yy, xy = multiply(x, x), multiply(y, y), multiply(x, y)
+        rep1 = representation((xx + yy,))
+        rep2 = representation((xx + yy.scale(-1), xy.scale(2)))  # (x^2+y^2)^2 again
         assert rep1.target == rep2.target
         assert not gram_equivalent(rep1, rep2)
         # the same support on both sides, over the denominators 1 and 25
-        rep3 = SosRepresentation.from_summands((xx + yy, xy.scale(2)))
-        rep4 = SosRepresentation.from_summands(
-            (xx - yy, xy.scale(Fraction(14, 5)), xy.scale(Fraction(2, 5))))
+        rep3 = representation((xx + yy, xy.scale(2)))
+        rep4 = representation(
+            (xx + yy.scale(-1), xy.scale(Fraction(14, 5)), xy.scale(Fraction(2, 5))))
         assert rep3.target == rep4.target
         assert not gram_equivalent(rep3, rep4)
         assert gram_equivalent(rep4, rep4)
@@ -268,7 +280,7 @@ class TestGramTensor:
 
     def test_summands_must_square_to_target(self):
         x, y = x_form(2, 0), x_form(2, 1)
-        target = (x * x) + (y * y)
+        target = multiply(x, x) + multiply(y, y)
         with pytest.raises(ValueError):
             SosRepresentation(summands=(x, x), target=target)
 
@@ -296,24 +308,6 @@ class TestOrthogonalMixes:
         rep = basis_representation(cert)
         with pytest.raises(ValueError):
             mix_representation(rep, ((1, 0), (0, 1)))  # wrong size
-
-
-class TestCertifyUnique:
-    def test_basis_rep_certifies(self):
-        cert = build_witness(3, 3, 6, seed=13)
-        assert certify_unique_representation(cert, basis_representation(cert))
-
-    def test_mixed_rep_certifies(self):
-        cert = build_witness(3, 3, 6, seed=13)
-        mixed = random_mix(basis_representation(cert), seed=40)
-        assert certify_unique_representation(cert, mixed)
-
-    def test_wrong_target_rejected(self):
-        cert = build_witness(3, 2, 3, seed=13)
-        x = x_form(3, 0, d=2)
-        alt = SosRepresentation.from_summands((x,))
-        with pytest.raises(ValueError):
-            certify_unique_representation(cert, alt)
 
 
 class TestSerialization:
