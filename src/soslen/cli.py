@@ -365,7 +365,8 @@ def cmd_witness(cfg: RunConfig):
         s = bounds.s_min(bounds.DegreeParams(n, d)) if s is None else s
         out_path = f"witness_n{n}_d{d}_s{s}.json"
         _check_output_paths(cfg, out_path)
-    cert = witness.build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes)
+    cert = witness.build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes,
+                                 allow_large=cfg.allow_large)
     content = canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
     form = ring.Form.from_coeffs(n, 2 * d, cert.witness)

@@ -62,7 +62,6 @@ class Quantity(str, Enum):
     DIM_SQUARE_COMPONENT_2D = "DimSquareComponent_2d"
     HILBERT_H_2D = "HilbertH2d"
     GENERIC_IDEAL_DIM_M_R = "GenericIdealDim_m_r"
-    FULL_RANK_AT_DEGREE_2D = "FullRankAtDegree2d"
 
 
 class Status(str, Enum):
@@ -202,7 +201,9 @@ def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
     i, j = np.triu_indices(len(G))
     rows = G[i]
     rows *= G[j]
-    return rank_mod_p(PrimeMatrix(rows, prime))
+    mat = PrimeMatrix(rows, prime)
+    del rows  # rank_mod_p makes a float copy of mat; free the unreduced rows first
+    return rank_mod_p(mat)
 
 
 def _square_rank(points, n: int, d: int, p: int) -> int:
@@ -220,23 +221,23 @@ def _check_guard(entries: int, allow_large: bool, what: str):
         )
 
 
-def _agreed_rank(sample, rank, primes, where: str) -> int:
-    """Rank of the first instance ``sample(rnd)`` that ``rank(instance, p)``
-    ranks alike at every prime; GenericityError after _SAMPLE_ROUNDS rounds."""
+def _experiment(sample, rank, what: str, **fields) -> DimensionReport:
+    """Report, with ``fields``, the rank of the first instance ``sample(rnd)``
+    that ``rank(instance, p)`` ranks alike at every prime (GenericityError
+    after _SAMPLE_ROUNDS rounds).  Verified if it meets the expected value
+    (or none is set), InconclusiveHigh below it; above it a proven bound
+    failed, so raise InternalCheckError with ``what`` formatted by the report."""
     for rnd in range(_SAMPLE_ROUNDS):
         instance = sample(rnd)
-        ranks = {rank(instance, p) for p in primes}
+        ranks = {rank(instance, p) for p in fields["primes"]}
         if len(ranks) == 1:
-            return ranks.pop()
-    raise GenericityError(
-        f"prime disagreement persisted for {_SAMPLE_ROUNDS} samples at ({where})"
-    )
-
-
-def _judged(report: DimensionReport, what: str) -> DimensionReport:
-    """Verified if the rank meets the expected value (or none is set),
-    InconclusiveHigh below it; above it a proven bound failed, so raise
-    InternalCheckError with ``what`` formatted by the report's fields."""
+            break
+    else:
+        where = ", ".join(f"{k}={fields[k]}" for k in "ndsr" if fields[k] is not None)
+        raise GenericityError(
+            f"prime disagreement persisted for {_SAMPLE_ROUNDS} samples at ({where})"
+        )
+    report = DimensionReport(computed=ranks.pop(), status=Status.VERIFIED, **fields)
     if report.expected is None or report.computed == report.expected:
         return report
     if report.computed < report.expected:
@@ -244,6 +245,15 @@ def _judged(report: DimensionReport, what: str) -> DimensionReport:
     raise InternalCheckError(
         what.format(**vars(report)), report=replace(report, status=Status.INTERNAL_ERROR)
     )
+
+
+def _first_verified(run, trials: int) -> DimensionReport:
+    """The first Verified report of run(0), ..., run(trials - 1), else the last."""
+    for t in range(trials):
+        report = run(t)
+        if report.status is Status.VERIFIED:
+            break
+    return report
 
 
 def dim_square_component(
@@ -266,33 +276,20 @@ def dim_square_component(
     if not 1 <= s <= N_d:
         raise ValueError(f"need 1 <= s <= N_d = {N_d}, got s={s}")
     b = N_d - s
-    _check_guard(binomial(b + 1, 2) * N_2d, allow_large, "square-component job")
+    # pair_products_rank builds C(b+1,2) product rows and N_d lattice (or multiple) rows
+    _check_guard(max(binomial(b + 1, 2), N_d) * N_2d, allow_large, "square-component job")
 
     expected_rank = None
     if n >= 3 and d >= 2 and dim_forms(n, d - 1) <= s < N_d:
         expected_rank = N_2d - ik_expected(n, d, s)
 
-    computed = _agreed_rank(
+    return _experiment(
         lambda rnd: _sample_instance(n, d, s, derive_seed(seed, "square", rnd), primes),
         lambda pts, p: _square_rank(pts, n, d, p),
-        primes, f"n={n}, d={d}, s={s}",
-    )
-    report = DimensionReport(
-        quantity=Quantity.DIM_SQUARE_COMPONENT_2D,
-        computed=computed,
-        expected=expected_rank,
-        status=Status.VERIFIED,
-        n=n,
-        d=d,
-        s=s,
-        r=None,
-        seed=seed,
-        primes=tuple(primes),
-    )
-    return _judged(
-        report,
         "square-component rank {computed} exceeds the structural bound "
         "{expected} at (n={n}, d={d}, s={s})",
+        quantity=Quantity.DIM_SQUARE_COMPONENT_2D, expected=expected_rank,
+        n=n, d=d, s=s, r=None, seed=seed, primes=tuple(primes),
     )
 
 
@@ -336,20 +333,13 @@ def ik_verify(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     expected = ik_expected(n, d, s)
-    N_2d = dim_forms(n, 2 * d)
-    last = None
-    for t in range(trials):
-        trial_seed = derive_seed(seed, "ik", n, d, s, t)
-        rep = dim_square_component(
-            n, d, s, seed=trial_seed, primes=primes, allow_large=allow_large
-        )
-        hrep = replace(
-            rep, quantity=Quantity.HILBERT_H_2D, computed=N_2d - rep.computed, expected=expected
-        )
-        if hrep.status is Status.VERIFIED:
-            return hrep
-        last = hrep
-    return last
+    rep = _first_verified(
+        lambda t: dim_square_component(n, d, s, seed=derive_seed(seed, "ik", n, d, s, t),
+                                       primes=primes, allow_large=allow_large),
+        trials,
+    )
+    return replace(rep, quantity=Quantity.HILBERT_H_2D,
+                   computed=dim_forms(n, 2 * d) - rep.computed, expected=expected)
 
 
 def _ideal_matrix(forms: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -372,7 +362,6 @@ def generic_ideal_dim(
     seed: int = DEFAULT_SEED,
     primes=DEFAULT_PRIMES,
     expected: int | None = None,
-    quantity: Quantity = Quantity.GENERIC_IDEAL_DIM_M_R,
     allow_large: bool = False,
 ) -> DimensionReport:
     """Degree-2d dimension of the ideal generated by r random degree-d forms.
@@ -395,24 +384,13 @@ def generic_ideal_dim(
             dtype=np.int64,
         )
 
-    computed = _agreed_rank(
+    return _experiment(
         random_forms,
         lambda forms, p: rank_mod_p(PrimeMatrix(_ideal_matrix(forms, n, d), p)),
-        primes, f"n={n}, d={d}, r={r}",
+        "ideal dimension {computed} exceeds the cap {expected}",
+        quantity=Quantity.GENERIC_IDEAL_DIM_M_R, expected=expected,
+        n=n, d=d, s=None, r=r, seed=seed, primes=tuple(primes),
     )
-    report = DimensionReport(
-        quantity=quantity,
-        computed=computed,
-        expected=expected,
-        status=Status.VERIFIED,
-        n=n,
-        d=d,
-        s=None,
-        r=r,
-        seed=seed,
-        primes=tuple(primes),
-    )
-    return _judged(report, "ideal dimension {computed} exceeds the cap {expected}")
 
 
 class TypicalStatus(str, Enum):
@@ -461,21 +439,14 @@ def typical_length(
     certified_lower = lambda_lower(params)[1]
     r_found = None
     for r in range(certified_lower, limit + 1):
-        for t in range(trials):
-            rep = generic_ideal_dim(
-                n,
-                d,
-                r,
-                seed=derive_seed(seed, "typical", n, d, r, t),
-                primes=primes,
-                expected=params.N_2d,
-                quantity=Quantity.FULL_RANK_AT_DEGREE_2D,
-                allow_large=allow_large,
-            )
-            if rep.status is Status.VERIFIED:
-                r_found = r
-                break
-        if r_found is not None:
+        rep = _first_verified(
+            lambda t: generic_ideal_dim(n, d, r, seed=derive_seed(seed, "typical", n, d, r, t),
+                                        primes=primes, expected=params.N_2d,
+                                        allow_large=allow_large),
+            trials,
+        )
+        if rep.status is Status.VERIFIED:
+            r_found = r
             break
     status = TypicalStatus.EXACT if r_found == certified_lower else TypicalStatus.INTERVAL_ONLY
     return TypicalLengthResult(

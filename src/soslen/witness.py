@@ -246,6 +246,7 @@ def build_witness(
     s: int | None = None,
     seed: int = DEFAULT_SEED,
     primes=DEFAULT_PRIMES,
+    allow_large: bool = False,
 ) -> LengthCertificate:
     """Construct a rational sum of squares whose exact length is N_d - s.
 
@@ -253,7 +254,9 @@ def build_witness(
     them (full rational rank of their evaluation matrix), takes the
     canonical integer kernel basis of the degree-d evaluation matrix, and
     certifies injectivity of the pair-product map by full row rank mod p.
-    Defaults to the smallest certifiable point count s_min(n, d).
+    Defaults to the smallest certifiable point count s_min(n, d).  A job
+    whose pair-product rank builds a matrix of more than
+    ``generic.MAX_DENSE_ENTRIES`` entries needs allow_large.
     """
     if n < 3 or d < 2:
         raise ValueError(f"witness construction needs n >= 3 and d >= 2, got ({n}, {d})")
@@ -269,6 +272,7 @@ def build_witness(
         )
     b = N_d - s
     target_rank = binomial(b + 1, 2)
+    generic._check_guard(max(target_rank, N_d) * params.N_2d, allow_large, "witness job")
     N_prev = dim_forms(n, d - 1)
     injectivity_failed = False
 

@@ -242,6 +242,24 @@ class TestWitnessFlow:
         assert "certificate valid" in proc.stdout
 
 
+    def test_witness_guard_exit_code(self, tmp_path, capsys, monkeypatch):
+        # witness 7 5 at s_min: 5457 pair products x 8008 columns > 4*10^7 entries
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        assert main(["witness", "7", "5"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("soslen: error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_allow_large_reaches_the_witness_guard(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        monkeypatch.setattr(cli.generic, "MAX_DENSE_ENTRIES", 0)
+        assert main(["witness", "3", "2", "--out", "c.json"]) == 4
+        assert main(["witness", "3", "2", "--out", "c.json", "--allow-large"]) == 0
+        assert (tmp_path / "c.json").exists()
+
+
 class TestStandaloneVerifierMalformed:
     def test_one_invalid_line_per_bad_file(self, tmp_path):
         (tmp_path / "fields.json").write_text('{"basis": [], "witness": []}')

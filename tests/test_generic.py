@@ -262,6 +262,16 @@ class TestDimSquareComponent:
         with pytest.raises(GuardError):
             dim_square_component(6, 8, 1123, seed=1)
 
+    def test_guard_counts_the_lattice_matrix(self, monkeypatch):
+        # n=40, d=2, s=800: 210 x 123410 pair products pass the guard, but the
+        # 820 x 123410 lattice values behind them do not
+        def no_rank(*args):
+            raise AssertionError("a guarded job was ranked")
+
+        monkeypatch.setattr(generic, "_square_rank", no_rank)
+        with pytest.raises(GuardError):
+            dim_square_component(40, 2, 800)
+
     def test_full_point_count_gives_empty_square(self):
         rep = dim_square_component(3, 2, 6, seed=8)  # s = N_d: kernel is zero
         assert rep.computed == 0
@@ -301,6 +311,22 @@ class TestIkVerify:
     def test_no_trials_rejected(self, trials):
         with pytest.raises(ValueError, match="trials"):
             ik_verify(3, 2, 5, trials=trials)
+
+    def test_every_trial_inconclusive_returns_the_last(self, monkeypatch):
+        seeds = []
+        square = generic.dim_square_component
+
+        def counted(n, d, s, seed, **kwargs):
+            seeds.append(seed)
+            return square(n, d, s, seed=seed, **kwargs)
+
+        monkeypatch.setattr(generic, "dim_square_component", counted)
+        monkeypatch.setattr(generic, "_square_rank", lambda *a: 0)  # h = N_4, above 12
+        rep = ik_verify(3, 2, 4, trials=3, seed=4)
+        assert seeds == [derive_seed(4, "ik", 3, 2, 4, t) for t in range(3)]
+        assert rep.seed == seeds[-1]
+        assert rep.status is Status.INCONCLUSIVE_HIGH and rep.quantity is Quantity.HILBERT_H_2D
+        assert (rep.computed, rep.expected) == (dim_forms(3, 4), ik_expected(3, 2, 4))
 
 
 class TestGenericIdealDim:
@@ -398,6 +424,25 @@ class TestTypicalLength:
     def test_no_trials_rejected(self, trials):
         with pytest.raises(ValueError, match="trials"):
             typical_length(3, 2, trials=trials)
+
+    def test_inconclusive_trials_move_on_to_the_next_r(self, monkeypatch):
+        # (3, 2) starts at r = 3, where 3 forms fill N_4 = 15 only generically:
+        # ranked one short there, every trial is inconclusive and r = 4 is next
+        attempts = []
+        ideal = generic.generic_ideal_dim
+
+        def counted(n, d, r, seed, **kwargs):
+            rep = ideal(n, d, r, seed=seed, **kwargs)
+            attempts.append((r, rep.seed, rep.status))
+            return rep
+
+        monkeypatch.setattr(generic, "generic_ideal_dim", counted)
+        monkeypatch.setattr(generic, "rank_mod_p", lambda M: 15 if M.shape[0] > 3 * 6 else 14)
+        res = typical_length(3, 2, seed=10, trials=3)
+        assert (res.r_found, res.certified_lower, res.status.value) == (4, 3, "IntervalOnly")
+        assert attempts == [
+            (3, derive_seed(10, "typical", 3, 2, 3, t), Status.INCONCLUSIVE_HIGH) for t in range(3)
+        ] + [(4, derive_seed(10, "typical", 3, 2, 4, 0), Status.VERIFIED)]
 
 
 class TestWorkQueue:
