@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -27,7 +28,7 @@ from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
 from .linalg import PrimeMatrix, kernel_basis_mod_p, matmul_mod_p, rank_mod_p
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
-from .ring import monomials, product_index_table
+from .ring import product_index_table
 
 __all__ = [
     "DEFAULT_SEED",
@@ -102,38 +103,38 @@ def _raw_points(n: int, s: int, lo: int, hi: int, rng: random.Random) -> list[tu
     return pts
 
 
+def _factors(n: int, e: int) -> np.ndarray:
+    """N_{n,e} x e variables of the degree-e monomials (x1^2 x3 is [0, 0, 2]),
+    in ``monomials`` order, which is lex order on these sorted tuples."""
+    return np.array(list(itertools.combinations_with_replacement(range(n), e)), dtype=np.int64)
+
+
 def _eval_matrix_mod_p(points, n: int, e: int, p: int):
-    """s x N_{n,e} matrix of monomial values at the points, reduced mod p.
+    """s x N_{n,e} matrix of monomial values at the points, reduced mod p,
+    as the transpose of a C-contiguous array.
 
     Coordinates may be any integers that fit int64 (negative ones too).
     Every value is below p <= 3037000499, so each product of two is below
     2^63 and the int64 arithmetic is exact.
     """
-    X = np.asarray(points, dtype=np.int64).reshape(len(points), n).T % p
-    powers = np.ones((n, len(points), e + 1), dtype=np.int64)  # x_v^k mod p
-    for k in range(1, e + 1):
-        powers[:, :, k] = powers[:, :, k - 1] * X % p
-    exponents = np.array(monomials(n, e), dtype=np.int64).reshape(-1, n)
-    vals = powers[0][:, exponents[:, 0]]
-    for v in range(1, n):
-        vals = vals * powers[v][:, exponents[:, v]] % p
-    return vals
+    X = np.asarray(points, dtype=np.int64).reshape(len(points), n).T.copy() % p
+    factors = _factors(n, e)
+    vals = X[factors[:, 0]] if e else np.ones((1, len(points)), dtype=np.int64)
+    for k in range(1, e):
+        vals *= X[factors[:, k]]
+        vals %= p
+    return vals.T
 
 
 def _gate_ok(points, n: int, d: int, p: int) -> bool:
     """Genericity gate: maximal evaluation rank, and no forms of degree d-1
     vanish on the whole set whenever the point count allows that check."""
-    s = len(points)
-    N_d = dim_forms(n, d)
-    mat = PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p)
-    if rank_mod_p(mat) != min(s, N_d):
-        return False
-    N_prev = dim_forms(n, d - 1)
-    if s >= N_prev:
-        prev = PrimeMatrix(_eval_matrix_mod_p(points, n, d - 1, p), p)
-        if rank_mod_p(prev) != N_prev:
-            return False
-    return True
+    s, N_prev = len(points), dim_forms(n, d - 1)
+
+    def rank(e):
+        return rank_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, e, p), p))
+
+    return rank(d) == min(s, dim_forms(n, d)) and (s < N_prev or rank(d - 1) == N_prev)
 
 
 def _sample_instance(n, d, s, seed, primes):
@@ -153,9 +154,10 @@ def _sample_instance(n, d, s, seed, primes):
 @lru_cache(maxsize=4)
 def _lattice_eval(n: int, d: int, p: int) -> np.ndarray:
     """N_d x N_2d values mod p of the degree-d monomials (rows) at the
-    lattice points y >= 0, |y| = 2d, read from ``monomials(n, 2d)``
+    lattice points y >= 0, |y| = 2d, in ``monomials(n, 2d)`` order
     (columns).  Read-only, since the cache shares it."""
-    E = np.ascontiguousarray(_eval_matrix_mod_p(monomials(n, 2 * d), n, d, p).T)
+    y = _factors(n, 2 * d)[:, :, None] == np.arange(n)
+    E = _eval_matrix_mod_p(y.sum(axis=1), n, d, p).T
     E.flags.writeable = False
     return E
 
@@ -171,7 +173,7 @@ def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarr
     )
 
 
-def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
+def pair_products_rank(vectors, n: int, d: int, prime: int, rows=None, seed=0) -> int:
     """Rank mod prime of the C(b+1,2) x N_{2d} matrix of pairwise products.
 
     ``vectors`` are degree-d coefficient vectors (any integers; reduced
@@ -190,7 +192,10 @@ def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
     integers at most 2d, so nonzero mod p.  For prime <= 2d (and n >= 2)
     no set of points over F_p determines the degree-2d forms: x^p y - x y^p,
     times x^(2d-p-1), vanishes at every point of P^(n-1)(F_p).  There the
-    coefficient rows themselves are ranked.
+    coefficient rows themselves are ranked.  In evaluation form, ``rows``
+    = K below C(b+1,2) ranks the K squares (U G)_k^2, U random K x b from
+    ``seed``: combinations of the products that span them for odd p, of rank
+    R <= K with probability >= 1 - 2R/p (Schwartz-Zippel; Cheung et al. 2013).
     """
     N_d = dim_forms(n, d)
     vecs = PrimeMatrix(vectors, prime, cols=N_d).arr
@@ -198,19 +203,33 @@ def pair_products_rank(vectors, n: int, d: int, prime: int) -> int:
         return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
     G = matmul_mod_p(vecs, _lattice_eval(n, d, prime), prime)
     # products of two residues stay below prime^2 < 2^63; PrimeMatrix reduces
-    i, j = np.triu_indices(len(G))
-    rows = G[i]
-    rows *= G[j]
-    mat = PrimeMatrix(rows, prime)
-    del rows  # rank_mod_p makes a float copy of mat; free the unreduced rows first
+    if rows is not None and rows < len(G) * (len(G) + 1) // 2:
+        U = np.random.default_rng(seed).integers(0, prime, (rows, len(G)))
+        prod = matmul_mod_p(U, G, prime) ** 2
+    else:
+        i, j = np.triu_indices(len(G))
+        prod = G[i]
+        prod *= G[j]
+    mat = PrimeMatrix(prod, prime)
+    del prod  # rank_mod_p makes a float copy of mat; free the unreduced rows first
     return rank_mod_p(mat)
 
 
+def _expected_square_rank(n: int, d: int, s: int) -> int | None:
+    """The proven bound N_{2d} - ik_expected on the square-component rank."""
+    if n >= 3 and d >= 2 and dim_forms(n, d - 1) <= s < dim_forms(n, d):
+        return dim_forms(n, 2 * d) - ik_expected(n, d, s)
+    return None
+
+
 def _square_rank(points, n: int, d: int, p: int) -> int:
-    """Rank of the matrix of pairwise products of a vanishing-ideal basis."""
-    mat = PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p)
-    kern = kernel_basis_mod_p(mat)
-    return pair_products_rank(kern, n, d, p)
+    """Rank of the pairwise products of a vanishing-ideal basis, from N_{2d}
+    squares, or one above the proven bound: a rank above it still shows."""
+    kern = kernel_basis_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p))
+    bound = _expected_square_rank(n, d, len(points))  # below N_{2d}
+    rows = dim_forms(n, 2 * d) if bound is None else bound + 1
+    seed = derive_seed(p, "compress", tuple(map(tuple, points)))
+    return pair_products_rank(kern, n, d, p, rows, seed)
 
 
 def _check_guard(entries: int, allow_large: bool, what: str):
@@ -275,20 +294,15 @@ def dim_square_component(
     N_d, N_2d = params.N_d, params.N_2d
     if not 1 <= s <= N_d:
         raise ValueError(f"need 1 <= s <= N_d = {N_d}, got s={s}")
-    b = N_d - s
-    # pair_products_rank builds C(b+1,2) product rows and N_d lattice (or multiple) rows
-    _check_guard(max(binomial(b + 1, 2), N_d) * N_2d, allow_large, "square-component job")
-
-    expected_rank = None
-    if n >= 3 and d >= 2 and dim_forms(n, d - 1) <= s < N_d:
-        expected_rank = N_2d - ik_expected(n, d, s)
+    # on the nominal size: C(b+1,2) product rows (compressed or not), N_d lattice rows
+    _check_guard(max(binomial(N_d - s + 1, 2), N_d) * N_2d, allow_large, "square-component job")
 
     return _experiment(
         lambda rnd: _sample_instance(n, d, s, derive_seed(seed, "square", rnd), primes),
         lambda pts, p: _square_rank(pts, n, d, p),
         "square-component rank {computed} exceeds the structural bound "
         "{expected} at (n={n}, d={d}, s={s})",
-        quantity=Quantity.DIM_SQUARE_COMPONENT_2D, expected=expected_rank,
+        quantity=Quantity.DIM_SQUARE_COMPONENT_2D, expected=_expected_square_rank(n, d, s),
         n=n, d=d, s=s, r=None, seed=seed, primes=tuple(primes),
     )
 

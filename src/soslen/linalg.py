@@ -4,11 +4,11 @@ The prime-field kernels are the performance core of the package.  Moduli
 are limited to primes below 2^31.5, so products of two residues cannot
 overflow int64.  The rank is a two-level blocked elimination: a
 per-column int64 sweep finds the pivots of each 32-column panel, mostly
-from its top rows, and the rest of the matrix is updated by exact float64
-matrix products (BLAS) on centred 16-bit limbs, as in ``matmul_mod_p``:
-at once inside the panel's 128-column block, and once per block right of
-it.  The sweep is one Gauss-Jordan step per column; RREF and kernel, used
-on narrow evaluation matrices only, run it on the whole matrix.
+from its top rows, with the inverse of their pivot block, and the rest of
+the matrix is updated by exact float64 matrix products (BLAS) on centred
+16-bit limbs, as in ``matmul_mod_p``: at once inside the panel's
+128-column block, and once per block right of it.  The sweep is one
+Gauss-Jordan step per column; RREF and kernel run it on the whole matrix.
 
 The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
@@ -57,7 +57,7 @@ class PrimeMatrix:
         if isinstance(rows, np.ndarray):
             if rows.ndim != 2:
                 raise ValueError("expected a 2-d array")
-            self.arr = np.asarray(rows, dtype=np.int64) % p
+            self.arr = np.ascontiguousarray(rows, dtype=np.int64) % p
         else:
             reduced = [[int(x) % p for x in row] for row in rows]
             ncols = len(reduced[0]) if reduced else cols
@@ -82,16 +82,20 @@ _CHUNK = 256
 _LIMB = 65536.0  # 2^16
 
 
-def _sweep(A: np.ndarray, p: int):
+def _sweep(A: np.ndarray, p: int, carry: int = 0):
     """In-place Gauss-Jordan elimination of an int64 array over F_p,
     leaving A in reduced row echelon form.
 
     The pivot is the first nonzero entry of the column at or below the
     current row; every other row is cleared in the pivot column.  Returns
     the pivot columns and the row swaps made, as (current row, pivot row)
-    pairs in order.
+    pairs in order.  The last ``carry`` columns, zero on entry, are not
+    swept: pivot row r gets a unit entry in carry column r after its swap,
+    which the steps then update like any other, so with B the first k rows
+    of A as swapped, at the k pivot columns, their carry block ends as B^-1.
     """
     m, n = A.shape
+    n -= carry
     pivots = []
     swaps = []
     r = 0
@@ -103,6 +107,8 @@ def _sweep(A: np.ndarray, p: int):
         if i != r:
             A[[r, i]] = A[[i, r]]
             swaps.append((r, i))
+        if carry:
+            A[r, n + r] = 1
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = (A[r, c:] * inv) % p
         f = A[:, c].copy()
@@ -113,6 +119,14 @@ def _sweep(A: np.ndarray, p: int):
         if r == m:
             break
     return pivots, swaps
+
+
+def _panel_sweep(P: np.ndarray, p: int):
+    """Pivot columns, row swaps and B^-1 of ``_sweep`` with a carry block,
+    on an int64 copy of the float64 residues P."""
+    A = np.hstack([P, np.zeros_like(P)]).astype(np.int64)
+    pivots, swaps = _sweep(A, p, carry=P.shape[1])
+    return pivots, swaps, A[: len(pivots), P.shape[1] :][:, : len(pivots)]
 
 
 def _centred(A: np.ndarray, p: int) -> np.ndarray:
@@ -170,10 +184,10 @@ def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     is reduced after each chunk, so every float64 value stays below 2^53.
     """
     F = _centred(A, p)
-    hi, lo = _limbs(B, p)
     out = np.zeros((A.shape[0], B.shape[1]))
     for k in range(0, A.shape[1], _OUTER):
-        out += _limb_product(F[:, k : k + _OUTER], hi[k : k + _OUTER], lo[k : k + _OUTER], p)
+        hi, lo = _limbs(B[k : k + _OUTER], p)  # by chunk, to bound the scratch
+        out += _limb_product(F[:, k : k + _OUTER], hi, lo, p)
         _reduce(out, p)
     return out.astype(np.int64)
 
@@ -196,7 +210,9 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
     so the k pivot rows sit at r..r+k.  With B their k x k block at the
     pivot columns and R the rows right of the panel, whose own columns are
     never read again, X = B^-1 R, and every row T below becomes T - F X
-    there, F being T at the pivot columns.
+    there, F being T at the pivot columns.  The top-rows sweep carries
+    B^-1, still right after a fallback that finds no more pivots (so the
+    same steps); else the pivot rows alone, which need no swap, carry it.
 
     That update is applied at once only inside the panel's block of
     ``_OUTER`` columns.  Right of the block each panel records its centred F
@@ -227,7 +243,7 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
             if r == m:
                 return pivots
             c1 = min(c0 + _PANEL, b1)
-            local, swaps = _sweep(W[r : r + 2 * _PANEL, c0:c1].astype(np.int64), p)
+            local, swaps, Binv = _panel_sweep(W[r : r + 2 * _PANEL, c0:c1], p)
             if len(local) < c1 - c0 and r + 2 * _PANEL < m:
                 local, swaps = _sweep(W[r:, c0:c1].astype(np.int64), p)
             k = len(local)
@@ -239,9 +255,9 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
             if k and c1 < n and r + k < m:
                 if K and b1 < n:
                     _sub_mul(W[r : r + k, b1:], L[r : r + k, :K], Xhi[:K], Xlo[:K], p)
-                aug = np.hstack([W[r : r + k, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
-                _sweep(aug, p)  # leaves B^-1 in the right half
-                X = matmul_mod_p(aug[:, k:], W[r : r + k, c1:], p)  # B^-1 R
+                if len(Binv) < k:  # the fallback found pivots below the top rows
+                    Binv = _panel_sweep(W[r : r + k, c0:c1], p)[2]
+                X = matmul_mod_p(Binv, W[r : r + k, c1:], p)  # B^-1 R
                 hi, lo = _limbs(X, p)
                 near = b1 - c1
                 Xhi[K : K + k], Xlo[K : K + k] = hi[:, near:], lo[:, near:]

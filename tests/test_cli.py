@@ -128,6 +128,15 @@ class TestIkCommand:
     def test_guard_exit_code(self, capsys):
         assert main(["ik", "6", "8", "1123"]) == 4
 
+    def test_n6_row_where_the_products_are_compressed(self, capsys):
+        # 8,001 pair products ranked from 2,248 squares; the bytes printed
+        # when all 8,001 rows were ranked
+        assert main(["ik", "6", "5", "126", "--trials", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "HilbertH2d n=6 d=5 s=126: Verified computed=756 expected=756 "
+            "(seed=12800866389339847338 primes=2147483647|2147483629)\n"
+        )
+
     def test_parallel_sweep_matches_serial(self, capsys):
         assert main(["ik", "--sweep", "3", "2", "--seed", "4"]) == 0
         serial = capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import soslen.generic as generic
 from soslen.bounds import DegreeParams, binomial, dim_forms, lambda_lower
+from soslen.cli import main
 from soslen.errors import GenericityError, GuardError, InternalCheckError
 from soslen.generic import (
     DEFAULT_SEED,
@@ -41,6 +42,20 @@ def reference_eval_matrix(points, n, e, p):
     """Monomial values by Python integer powers, one entry at a time."""
     return [[math.prod(pow(x, k, p) for x, k in zip(pt, mono)) % p
              for mono in monomials(n, e)] for pt in points]
+
+
+def per_variable_eval_matrix(points, n, e, p):
+    """The per-variable formulation the factor form replaced: powers of
+    every coordinate, then one gathered s x N_e product per variable."""
+    X = np.asarray(points, dtype=np.int64).reshape(len(points), n).T % p
+    powers = np.ones((n, len(points), e + 1), dtype=np.int64)  # x_v^k mod p
+    for k in range(1, e + 1):
+        powers[:, :, k] = powers[:, :, k - 1] * X % p
+    exponents = np.array(monomials(n, e), dtype=np.int64).reshape(-1, n)
+    vals = powers[0][:, exponents[:, 0]]
+    for v in range(1, n):
+        vals = vals * powers[v][:, exponents[:, v]] % p
+    return vals
 
 
 def reference_pair_product_rows(vecs, n, d, p):
@@ -128,6 +143,33 @@ class TestEvalMatrix:
         # mod 2 <= 2d no point set does: x^2 y - x y^2 vanishes on all of F_2^n
         assert rank_mod_p(PrimeMatrix(generic._eval_matrix_mod_p(Y, n, 2 * d, 2), 2)) < N_2d
 
+    @pytest.mark.parametrize("p", (2, 101, P1, INT64_EDGE_PRIME))
+    def test_matches_the_per_variable_form(self, p):
+        # e = 0 and n = 1 included, coordinates negative and past p
+        rng = np.random.default_rng(p % 1000)
+        for n in (1, 2, 3, 6, 9):
+            for e in range(7 if n < 9 else 3):
+                points = rng.integers(-(10**12), 10**12, (7, n))
+                points[0] = -1
+                points[1, 0] = 0
+                got = generic._eval_matrix_mod_p(points, n, e, p)
+                old = per_variable_eval_matrix(points, n, e, p)
+                assert got.dtype == old.dtype and np.array_equal(got, old)
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (4, 6), (6, 3), (12, 2)])
+    def test_lattice_values_match_the_per_variable_form(self, n, d):
+        for p in (P1, next_prime(2 * d)):
+            old = np.ascontiguousarray(per_variable_eval_matrix(monomials(n, 2 * d), n, d, p).T)
+            got = generic._lattice_eval(n, d, p)
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == old.tobytes() and got.shape == old.shape
+
+    def test_factors_list_the_variables_in_monomial_order(self):
+        for n in range(1, 7):
+            for e in range(7):
+                counts = [np.bincount(row, minlength=n).tolist() for row in generic._factors(n, e)]
+                assert counts == [list(m) for m in monomials(n, e)]
+
 
 @pytest.fixture(scope="module")
 def witness_basis():
@@ -204,6 +246,66 @@ class TestPairProductsRank:
         # mod 5 <= 2d = 6 the lattice points do not separate degree-6 forms;
         # ranked in values, the 55 products of all cubic monomials give 22
         assert generic.pair_products_rank(np.eye(10), 3, 3, 5) == 28
+
+
+class TestCompressedPairProducts:
+    """Pair products ranked from K random squares (U G)_k^2 (p > 2d)."""
+
+    @given(pair_product_inputs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_never_above_and_at_large_primes_equal(self, case, data):
+        vecs, n, d, p = case
+        b = len(vecs)
+        full = coefficient_rank(vecs, n, d, p)
+        rows = data.draw(st.integers(1, max(1, b * (b + 1) // 2)))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        compressed = generic.pair_products_rank(vecs, n, d, p, rows, seed)
+        assert compressed <= min(full, rows)
+        if p > 2**30 and rows >= full:
+            assert compressed == full
+
+    @pytest.mark.parametrize("n, d, s", [(4, 3, 10), (4, 3, 11), (5, 2, 14), (6, 3, 21)])
+    def test_ik_instances_rank_from_one_row_above_the_bound(self, n, d, s, monkeypatch):
+        shapes = []
+        rank = generic.rank_mod_p
+        monkeypatch.setattr(generic, "rank_mod_p", lambda M: shapes.append(M.shape) or rank(M))
+        pts = generic._sample_instance(n, d, s, 3, DEFAULT_PRIMES)
+        kern = kernel_basis_mod_p(PrimeMatrix(generic._eval_matrix_mod_p(pts, n, d, P1), P1))
+        bound = dim_forms(n, 2 * d) - ik_expected(n, d, s)
+        b = dim_forms(n, d) - s
+        shapes.clear()
+        assert generic._square_rank(pts, n, d, P1) == bound
+        assert shapes == [(min(bound + 1, b * (b + 1) // 2), dim_forms(n, 2 * d))]
+        assert generic.pair_products_rank(kern, n, d, P1) == bound
+
+    def test_rank_one_above_the_bound_still_exits_5(self, monkeypatch, capsys):
+        # with ik_expected one too high, the bound is one below the true rank
+        # 44 of (4, 3, 10): K = 44 rows still show it, 43 would not
+        expected = generic.ik_expected
+        monkeypatch.setattr(generic, "ik_expected", lambda n, d, s: expected(n, d, s) + 1)
+        with pytest.raises(InternalCheckError) as exc:
+            dim_square_component(4, 3, 10, seed=3)
+        assert (exc.value.report.computed, exc.value.report.expected) == (44, 43)
+        assert main(["ik", "4", "3", "10"]) == 5
+        assert "internal check violated" in capsys.readouterr().err
+
+    def test_witness_ranks_every_pair_product(self, monkeypatch):
+        seen = []
+        ranked = generic.pair_products_rank
+
+        def spy(vectors, *args, **kwargs):
+            seen.append((args, kwargs))
+            return ranked(vectors, *args, **kwargs)
+
+        shapes = []
+        rank = generic.rank_mod_p
+        monkeypatch.setattr(generic, "pair_products_rank", spy)
+        monkeypatch.setattr(generic, "rank_mod_p", lambda M: shapes.append(M.shape) or rank(M))
+        cert = build_witness(3, 4)
+        b = len(cert.basis)
+        assert seen and all(args[:2] == (3, 4) and len(args) == 3 and not kw
+                            for args, kw in seen)
+        assert shapes and set(shapes) == {(b * (b + 1) // 2, dim_forms(3, 8))}
 
 
 class TestVanishingDimension:

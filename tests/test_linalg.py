@@ -545,6 +545,109 @@ class TestBlockedAgainstReference:
         assert out.dtype == np.int64 and out.tolist() == [[0] * 4] * 3
 
 
+def _assert_inverts_pivot_block(P, p, pivots, swaps, Binv):
+    """Binv . B == I mod p in Python integers, B being the first
+    len(pivots) rows of P, as swapped, at the pivot columns."""
+    rows = [[int(x) for x in row] for row in P]
+    for a, b in swaps:
+        rows[a], rows[b] = rows[b], rows[a]
+    k = len(pivots)
+    B = [[rows[i][c] for c in pivots] for i in range(k)]
+    inv = [[int(x) for x in row] for row in Binv]
+    assert len(inv) == k and all(len(row) == k for row in inv)
+    product = [[sum(inv[i][t] * B[t][j] for t in range(k)) % p for j in range(k)]
+               for i in range(k)]
+    assert product == [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _panels(p):
+    """Panels of ``_PANEL`` columns or fewer, as float64 residues: full
+    rank; zero rows on every other row and rows reversed, so that most
+    pivots need a swap; rank-deficient by repeated and zero columns; fewer
+    rows than columns."""
+    rng = np.random.default_rng(p % 1000)
+    w = linalg._PANEL
+    full = rng.integers(0, p, (2 * w, w))
+    swapped = full.copy()
+    swapped[::2] = 0
+    swapped = swapped[::-1]
+    staircase = np.triu(rng.integers(1, p, (2 * w, w)))[::-1]  # zero rows on top: every pivot swaps
+    deficient = full.copy()
+    deficient[:, 3] = deficient[:, 0]
+    deficient[:, 7] = 0
+    deficient[:, 20:] = deficient[:, 8:20] * 5 % p
+    short = _mod_product(rng.integers(0, p, (20, 9)), rng.integers(0, p, (9, w)), p)
+    narrow = rng.integers(0, p, (40, 13))
+    narrow[:30] = 0
+    for A in (full, swapped, staircase, deficient, short, narrow):
+        yield A.astype(np.float64)
+
+
+class TestCarriedInverse:
+    """The pivot block inverse that the panel sweep carries in extra columns."""
+
+    @pytest.mark.parametrize("p", (7, 101, P1, P2))
+    def test_panel_sweep_inverts_the_pivot_block(self, p):
+        for P in _panels(p):
+            pivots, swaps, Binv = linalg._panel_sweep(P, p)
+            _assert_inverts_pivot_block(P, p, pivots, swaps, Binv)
+            # the carry block changes neither the pivots, the swaps nor the RREF
+            A = P.astype(np.int64)
+            assert linalg._sweep(A, p) == (pivots, swaps)
+            carried = np.hstack([P, np.zeros_like(P)]).astype(np.int64)
+            linalg._sweep(carried, p, carry=P.shape[1])
+            assert np.array_equal(carried[:, : P.shape[1]], A)
+
+    def test_swaps_and_deficiency_are_exercised(self):
+        found = [linalg._panel_sweep(P, 101) for P in _panels(101)]
+        assert min(len(swaps) for _, swaps, _ in found[1:3]) >= 16
+        assert len(found[3][0]) < linalg._PANEL and len(found[4][0]) == 9
+
+    @pytest.mark.parametrize("p", (7, 101, P1, P2))
+    def test_every_inverse_the_blocked_kernel_uses(self, p, monkeypatch):
+        # the top-rows sweeps, and the fallback: the first panel's top rows
+        # miss column 5's pivot, so its pivot rows are swept again, alone and
+        # with no swap
+        calls = []
+        sweep = linalg._panel_sweep
+
+        def checked(P, q):
+            out = sweep(P, q)
+            calls.append((P.copy(), out))
+            return out
+
+        monkeypatch.setattr(linalg, "_panel_sweep", checked)
+        rng = np.random.default_rng(7)
+        A = rng.integers(0, p, (200, 150), dtype=np.int64)
+        top = 2 * linalg._PANEL
+        A[:top] = np.tile(A[:16], (top // 16, 1))
+        A[:top, 5] = 0
+        swaps = _mod_product(rng.integers(0, p, (150, 100)), rng.integers(0, p, (100, 140)), p)
+        swaps[::3] = 0
+        for M in (A, swaps):
+            expected = reference_eliminate(M.copy(), p, reduced=True)
+            assert linalg._eliminate(M.astype(np.float64), p) == expected
+        for P, (pivots, swap_list, Binv) in calls:
+            _assert_inverts_pivot_block(P, p, pivots, swap_list, Binv)
+        assert calls[1][0].shape[0] == len(calls[1][1][0]) > len(calls[0][1][0])
+        assert calls[1][1][1] == []
+
+    def test_one_sweep_per_panel_when_the_top_rows_hold_its_pivots(self, monkeypatch):
+        counted = []
+        sweep = linalg._sweep
+        monkeypatch.setattr(linalg, "_sweep", lambda A, p, carry=0: counted.append(A.shape)
+                            or sweep(A, p, carry))
+        rng = np.random.default_rng(9)
+        assert rank_mod_p(PrimeMatrix(rng.integers(0, P1, (200, 150)), P1)) == 150
+        assert len(counted) == 5  # ceil(150 / _PANEL) panels, one sweep each
+        counted.clear()
+        A = rng.integers(0, P1, (200, 150), dtype=np.int64)
+        A[:64, 5] = 0  # the first panel, and only it, falls back
+        assert rank_mod_p(PrimeMatrix(A, P1)) == 150
+        assert [shape[0] for shape in counted[:3]] == [64, 200, 32]
+        assert len(counted) == 7
+
+
 def _reference_divide_by_content(row):
     g = 0
     for x in row:
