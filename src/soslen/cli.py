@@ -54,22 +54,14 @@ class RunConfig(namedtuple(
 
     __slots__ = ()
 
-    def cache_payload(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "primes": list(self.primes) if self.primes else None,
-            "trials": self.trials,
-            "format": self.format,
-            "allow_large": self.allow_large,
-            "version": __version__,
-        }
-
     def cache_key(self) -> str:
+        """sha256 of every field but the two that cannot change the output,
+        --parallelism and --cache, and of the version."""
         import hashlib  # here, not at the top: only a cached run needs a key
 
-        return hashlib.sha256(canonical_json(self.cache_payload()).encode()).hexdigest()
+        payload = {**self._asdict(), "version": __version__}
+        del payload["parallelism"], payload["cache"]
+        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
     def param(self, name, required=True):
         """Merge the positional and flag spellings of a parameter."""
@@ -153,25 +145,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- rendering
 
 
-def _csv_text(header, rows) -> str:
-    """The header and the rows as CSV text, one line per row."""
-    import csv  # here, not at the top: only --format csv writes it
+def _render(fmt: str, obj, header, rows, text: str) -> str:
+    """One command's result in ``fmt``: ``obj`` as canonical JSON, the
+    ``header`` and ``rows`` as CSV text, one line per row, or ``text``."""
+    if fmt == "json":
+        return canonical_json(obj)
+    if fmt == "csv":
+        import csv  # here, not at the top: only --format csv writes it
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        return buf.getvalue()
+    return text
 
 
 def _surd_dict(s: bounds.Surd) -> dict:
-    return {
-        "add": s.add,
-        "sign": s.sign,
-        "radicand": s.radicand,
-        "den": s.den,
-        "approx": s.approx(6),
-    }
+    return {**vars(s), "approx": s.approx(6)}
 
 
 def _surd_text(s: bounds.Surd) -> str:
@@ -183,15 +174,16 @@ def _surd_text(s: bounds.Surd) -> str:
 
 
 def _bounds_row_dict(row) -> dict:
+    """A bounds row's JSON record, in the order of its CSV columns."""
     return {
         "n": row.params.n,
         "d": row.params.d,
         "N_d": row.N_d,
         "N_2d": row.N_2d,
-        "lambda": _surd_dict(row.lam),
         "lambda_ceil": row.lam_ceil,
-        "Lambda": _surd_dict(row.Lam),
+        "lambda": _surd_dict(row.lam),
         "Lambda_floor": row.Lam_floor,
+        "Lambda": _surd_dict(row.Lam),
         "leep_L": row.leep_L,
         "s_min": row.s_min,
         "theta": row.theta,
@@ -200,25 +192,12 @@ def _bounds_row_dict(row) -> dict:
     }
 
 
+def _csv_cell(key: str, value):
+    """A bounds record's field as a CSV column: a surd by its decimal value."""
+    return (f"{key}_approx", value["approx"]) if isinstance(value, dict) else (key, value)
+
+
 def _render_bounds(rows, fmt: str) -> str:
-    if fmt == "json":
-        return canonical_json([_bounds_row_dict(r) for r in rows])
-    if fmt == "csv":
-        return _csv_text(
-            [
-                "n", "d", "N_d", "N_2d", "lambda_ceil", "lambda_approx",
-                "Lambda_floor", "Lambda_approx", "leep_L", "s_min", "theta",
-                "upper_best", "upper_source",
-            ],
-            [
-                [
-                    r.params.n, r.params.d, r.N_d, r.N_2d, r.lam_ceil,
-                    r.lam.approx(6), r.Lam_floor, r.Lam.approx(6), r.leep_L,
-                    r.s_min, r.theta, r.upper_best, r.upper_source.value,
-                ]
-                for r in rows
-            ],
-        )
     lines = []
     for r in rows:
         lines.append(f"bounds n={r.params.n} d={r.params.d}:")
@@ -229,7 +208,11 @@ def _render_bounds(rows, fmt: str) -> str:
         lines.append(
             f"  lower>={r.theta}  upper<={r.upper_best} ({r.upper_source.value})"
         )
-    return "\n".join(lines) + "\n"
+    records = [_bounds_row_dict(r) for r in rows]  # rows is never empty
+    cells = [dict(_csv_cell(k, v) for k, v in rec.items()) for rec in records]
+    return _render(
+        fmt, records, list(cells[0]), [c.values() for c in cells], "\n".join(lines) + "\n"
+    )
 
 
 def paper_table_text() -> str:
@@ -256,36 +239,30 @@ def paper_table_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_line(rep: generic.DimensionReport) -> str:
-    where = f"n={rep.n} d={rep.d}"
-    if rep.s is not None:
-        where += f" s={rep.s}"
-    if rep.r is not None:
-        where += f" r={rep.r}"
-    primes = "|".join(str(p) for p in rep.primes)
+def _report_line(rep: dict) -> str:
+    where = f"n={rep['n']} d={rep['d']}"
+    if rep["s"] is not None:
+        where += f" s={rep['s']}"
+    if rep["r"] is not None:
+        where += f" r={rep['r']}"
     return (
-        f"{rep.quantity.value} {where}: {rep.status.value} "
-        f"computed={rep.computed} expected={rep.expected} "
-        f"(seed={rep.seed} primes={primes})"
+        f"{rep['quantity']} {where}: {rep['status']} "
+        f"computed={rep['computed']} expected={rep['expected']} "
+        f"(seed={rep['seed']} primes={rep['primes']})"
     )
 
 
 def _render_reports(reports, fmt: str) -> str:
-    if fmt == "json":
-        return canonical_json([r.to_dict() for r in reports])
-    if fmt == "csv":
-        return _csv_text(
-            ["quantity", "n", "d", "s", "r", "computed", "expected", "status", "seed", "primes"],
-            [
-                [
-                    rep.quantity.value, rep.n, rep.d, rep.s, rep.r, rep.computed,
-                    rep.expected, rep.status.value, rep.seed,
-                    "|".join(str(p) for p in rep.primes),
-                ]
-                for rep in reports
-            ],
-        )
-    return "\n".join(_report_line(r) for r in reports) + "\n"
+    """The reports as JSON records, or one CSV row or text line each, with
+    the primes joined by "|"; the CSV columns are the record's fields."""
+    from dataclasses import fields  # here, not at the top: start-up skips it
+
+    records = [r.to_dict() for r in reports]
+    rows = [{**rec, "primes": "|".join(map(str, rec["primes"]))} for rec in records]
+    return _render(
+        fmt, records, [f.name for f in fields(generic.DimensionReport)],
+        [row.values() for row in rows], "\n".join(map(_report_line, rows)) + "\n",
+    )
 
 
 # ---------------------------------------------------------------- commands
@@ -338,20 +315,10 @@ def cmd_typical(cfg: RunConfig):
         n, d, r_max=cfg.params["r_max"], seed=cfg.seed, primes=cfg.primes,
         trials=cfg.trials, allow_large=cfg.allow_large,
     )
-    if cfg.format == "json":
-        out = canonical_json(result.to_dict())
-    elif cfg.format == "csv":
-        out = _csv_text(
-            ["n", "d", "r_found", "certified_lower", "fos_cap", "status"],
-            [[result.n, result.d, result.r_found, result.certified_lower,
-              result.fos_cap, result.status.value]],
-        )
-    else:
-        out = (
-            f"typical n={n} d={d}: r_found={result.r_found} "
-            f"certified_lower={result.certified_lower} fos_cap={result.fos_cap} "
-            f"status={result.status.value}\n"
-        )
+    record = result.to_dict()
+    pairs = " ".join(f"{k}={v}" for k, v in record.items() if k not in ("n", "d"))
+    out = _render(cfg.format, record, list(record), [record.values()],
+                  f"typical n={n} d={d}: {pairs}\n")
     code = EXIT_OK if result.r_found is not None else EXIT_INCONCLUSIVE
     return out, code, {}
 
@@ -557,6 +524,12 @@ def main(argv=None) -> int:
     except (CertificationError, GenericityError) as exc:
         print(f"soslen: certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    except MemoryError as exc:
+        job = " ".join(sys.argv[1:] if argv is None else argv)
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"soslen: error: out of memory in '{job}'{detail}; --allow-large lifts "
+              "the size guard, not the memory limit", file=sys.stderr)
+        return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"soslen: internal check violated: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -73,16 +73,17 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Outcome of one rank experiment, replayable from (args, seed, primes)."""
+    """Outcome of one rank experiment, replayable from (args, seed, primes).
+    The fields are declared in the order of the CSV columns."""
 
     quantity: Quantity
-    computed: int
-    expected: int | None
-    status: Status
     n: int
     d: int
     s: int | None
     r: int | None
+    computed: int
+    expected: int | None
+    status: Status
     seed: int
     primes: tuple[int, ...]
 
@@ -484,10 +485,15 @@ def run_jobs(worker, kwargs_list, parallelism: int = 1):
     Each job owns its matrices, so jobs only share read-only tables; with
     more than one worker they are dispatched to a process pool of at most
     one worker per job, since the pool starts all its workers at once.
+    A worker that dies is a MemoryError: the usual killer of a worker is
+    the operating system's out-of-memory handler.
     """
     jobs = [(worker, kwargs) for kwargs in kwargs_list]
     workers = min(parallelism, len(jobs))
     if workers <= 1:
         return [_call_with_kwargs(job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call_with_kwargs, jobs))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_call_with_kwargs, jobs))
+    except concurrent.futures.process.BrokenProcessPool:
+        raise MemoryError("a worker process died") from None

@@ -2,6 +2,8 @@
 
 Monomials are indexed in graded-lexicographic order with x1 > x2 > ... > xn;
 within one total degree that is plain descending lex on exponent vectors.
+``monomials`` enumerates that order once per (n, e); ranks, unranks and
+product tables are lookups in it.
 Forms are dense coefficient vectors of exact rationals.
 """
 
@@ -13,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .bounds import binomial, dim_forms
+from .bounds import dim_forms
 
 __all__ = [
     "monomials",
@@ -43,53 +45,35 @@ def monomials(n: int, e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, e))
 
 
-def mono_rank(exponents) -> int:
-    """Index of an exponent vector among all monomials of its degree.
+@lru_cache(maxsize=None)
+def _mono_index(n: int, e: int) -> dict[tuple[int, ...], int]:
+    """{exponent vector: index} over ``monomials(n, e)``."""
+    return {m: i for i, m in enumerate(monomials(n, e))}
 
-    Computed by counting predecessors with binomial sums, O(n) per call.
-    """
+
+def mono_rank(exponents) -> int:
+    """Index of an exponent vector among all monomials of its degree."""
     exponents = tuple(exponents)
-    n = len(exponents)
-    if n < 1 or any(a < 0 for a in exponents):
+    if not exponents or any(a < 0 for a in exponents):
         raise ValueError(f"invalid exponent vector {exponents}")
-    rem = sum(exponents)
-    idx = 0
-    for k in range(n - 1):
-        a = exponents[k]
-        # monomials sharing the prefix but with k-th exponent above a come first
-        if rem - a - 1 >= 0:
-            idx += binomial((n - k - 1) + (rem - a - 1), n - k - 1)
-        rem -= a
-    return idx
+    return _mono_index(len(exponents), sum(exponents))[exponents]
 
 
 def mono_unrank(n: int, e: int, index: int) -> tuple[int, ...]:
     """Inverse of mono_rank for monomials of degree e in n variables."""
-    total = dim_forms(n, e)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} out of range for {total} monomials")
-    expo = []
-    rem = e
-    for k in range(n - 1):
-        vars_left = n - k - 1
-        for a in range(rem, -1, -1):
-            block = dim_forms(vars_left, rem - a)
-            if index < block:
-                expo.append(a)
-                rem -= a
-                break
-            index -= block
-    expo.append(rem)
-    return tuple(expo)
+    monos = monomials(n, e)
+    if not 0 <= index < len(monos):
+        raise ValueError(f"index {index} out of range for {len(monos)} monomials")
+    return monos[index]
 
 
 @lru_cache(maxsize=None)
 def product_index_table(n: int, e1: int, e2: int) -> tuple[tuple[int, ...], ...]:
     """table[i][j] = index of (monomial i of degree e1) * (monomial j of degree e2)."""
-    m1 = monomials(n, e1)
-    m2 = monomials(n, e2)
-    index = {m: i for i, m in enumerate(monomials(n, e1 + e2))}
-    return tuple(tuple(index[tuple(map(add, u, v))] for v in m2) for u in m1)
+    index = _mono_index(n, e1 + e2)
+    return tuple(
+        tuple(index[tuple(map(add, u, v))] for v in monomials(n, e2)) for u in monomials(n, e1)
+    )
 
 
 @dataclass(frozen=True)
@@ -181,12 +165,6 @@ def _eval_rows_int(points, n: int, e: int) -> list[list]:
     return rows
 
 
-def _coeff_to_text(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c) if isinstance(c, Fraction) else c)
-
-
 def form_to_text(f: Form) -> str:
     """Render as "c * x1^a1 ... xn^an + ..." with exact "p/q" coefficients."""
     terms = []
@@ -194,5 +172,5 @@ def form_to_text(f: Form) -> str:
         if not c:
             continue
         mono = " ".join(f"x{v + 1}^{a}" for v, a in enumerate(expo))
-        terms.append(f"{_coeff_to_text(c)} * {mono}")
+        terms.append(f"{c} * {mono}")
     return " + ".join(terms) if terms else "0"

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -196,7 +196,9 @@ class LengthCertificate:
     The fields mirror the serialized format: integer points, the canonical
     integer basis of the vanishing forms (graded-lex coefficient order),
     the witness coefficients, and the injectivity evidence (primes at
-    which the pair-product matrix reached full row rank).
+    which the pair-product matrix reached full row rank).  ``to_dict``
+    and ``from_dict`` read the field list, and how deep each field nests
+    tuples, from the annotations below.
     """
 
     n: int
@@ -211,33 +213,19 @@ class LengthCertificate:
     injectivity_rank: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "s": self.s,
-            "primes": list(self.primes),
-            "seed": self.seed,
-            "points": [list(p) for p in self.points],
-            "basis": [list(v) for v in self.basis],
-            "witness": list(self.witness),
-            "length": self.length,
-            "injectivity_rank": self.injectivity_rank,
-        }
+        return {f.name: _nest(getattr(self, f.name), list, f.type.count("tuple"))
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LengthCertificate":
-        return cls(
-            n=data["n"],
-            d=data["d"],
-            s=data["s"],
-            primes=tuple(data["primes"]),
-            seed=data["seed"],
-            points=tuple(tuple(p) for p in data["points"]),
-            basis=tuple(tuple(v) for v in data["basis"]),
-            witness=tuple(data["witness"]),
-            length=data["length"],
-            injectivity_rank=data["injectivity_rank"],
-        )
+        return cls(**{f.name: _nest(data[f.name], tuple, f.type.count("tuple"))
+                      for f in fields(cls)})
+
+
+def _nest(value, kind, depth: int):
+    """``value`` with its outer ``depth`` levels of sequences rebuilt as
+    ``kind``: lists for JSON, tuples for the record."""
+    return kind(_nest(v, kind, depth - 1) for v in value) if depth else value
 
 
 def build_witness(

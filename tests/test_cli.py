@@ -218,6 +218,81 @@ class TestCsvOutput:
         assert capsys.readouterr().out == expected
 
 
+_FORMAT_CASES = {
+    "bounds 3 5": (0, {
+        "table": "8e65607738ceb26c500ec59265a53a2ff398769861c11930c4b19ff3f6963d90",
+        "json": "7019431691743b97ce92f688c59b8cea1afe6504e1f2010eca82a1666797c8ea",
+        "csv": "ca3e343cc7e91f154e0c05def56f3ced1463d5c9703e68489b4416e194c005e8",
+    }),
+    "table --n-min 3 --n-max 4 --d-min 2 --d-max 3": (0, {
+        "table": "0c4c21684d6eb21bfed00abeb0fee7dff22c5a79cceca552e23f0a010b6f40b0",
+        "json": "04b3e28b62531bb21891efc34997663063ed21ba77588c7c96f3a44f9e538da0",
+        "csv": "539e7614fc85deeebad3e2804322c9094a9e6b467b98e652f85f7bbdfc83f544",
+    }),
+    # the preset layout ignores --format
+    "table --paper-table": (0, dict.fromkeys(
+        ("table", "json", "csv"),
+        "07ae520b7f61246a31cc860e595ecbb02a71dc83751c3f70eb993dd16ac0e0ba",
+    )),
+    "ik 3 2 5 --seed 4": (0, {
+        "table": "fe9a7b6eaa2b9da352bf70355d4129ea7d891fcc3e8067212d6fabafadf04755",
+        "json": "535797a3a23434c557dc156a8b7e1b69978187aec66a2a7fad6e9330e7a1e84c",
+        "csv": "ff22baecde084b6ac5cd087d895d27eae89d77bac219bfefe94aff8c85f10af6",
+    }),
+    "ik --sweep 3 3 --seed 4": (0, {
+        "table": "1f0da32aaae81783df2237ca3faa89214e4311ec183a577076896e8e4259713f",
+        "json": "4b533355ee38bdb15b4556175749833ceb75b81a277bf4c636d1928656911c1d",
+        "csv": "e143d258ac699da9b974b77dc7157e8d7a4a24433f2f1c82931cd1454afce741",
+    }),
+    "typical 3 2 --seed 4": (0, {
+        "table": "cba3bd04fc3eee3f9d9fc158253b27178d68e81b8d7945f6ca1113c4a97683d1",
+        "json": "e64af4367e28adb047e7ad1d73cf6d6ffcd2b13fd30dec7843766343a95faa0b",
+        "csv": "5e96c9b61ee30f9251bd0221fac3c15cf2241b76dd6077a30d1bfadb237047b6",
+    }),
+    # r_found is None: "None" in the table, null in JSON, an empty CSV cell
+    "typical 3 3 --r-max 3 --seed 4": (2, {
+        "table": "438cdc67c629f4c81081e18cadb9feabca617745fb57c5a6b8ffc082458abac6",
+        "json": "449c9050022ae475311efc2de0ad237317e288e86ead4be8b345ea381a5b442e",
+        "csv": "0661c1f0517cb4358457fe1abe4b85d987ad1a6e5b41d474de72bac099593256",
+    }),
+}
+
+_HELP_CASES = {
+    "--help": "0b044fe656bf2944daf5e58f3dd01fbe1a8f0c85298535d7d1e31682d67dab37",
+    "bounds --help": "06fe13070eaecf052d9f31e17a0dad1257ee6ca7f96b162236617322fb4a4519",
+    "table --help": "60709bfac2c98bb36dbbaf60eaa8b72e64f7b1ac858918d60af9e56f650ae1d0",
+    "ik --help": "8d43d2c967e820e2d4ed8844437b06641860dce10cfe0855f7bf7ff76a51c4b0",
+    "typical --help": "88068e81d95a9db2aeeb7ace68e7c0c35bebf5a93f2fb0639c1dda221db34d11",
+    "witness --help": "0d619b8d46512a93e7d5746cd50ee6f076fb1343d1ee7ab4a832f1e551cac927",
+    "mix --help": "088e8209b5c9a973a525aedf7f4e823dde0add3cfb746affe2984786184e1092",
+    "gramcheck --help": "f36ff549897a5b5a60676b95b234076c9733b9a20cf70d7492f84059f88937de",
+}
+
+# argparse lays help out differently from one Python release to the next;
+# these hashes are CPython 3.11's at 80 columns
+_help_layout = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="help hashes recorded with CPython 3.11's argparse"
+)
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    *[(f"{cmd} --format {fmt}", code, digest)
+      for cmd, (code, digests) in _FORMAT_CASES.items() for fmt, digest in digests.items()],
+    *[pytest.param(cmd, 0, digest, marks=_help_layout) for cmd, digest in _HELP_CASES.items()],
+])
+def test_format_bytes(argv, code, digest, capsys, monkeypatch):
+    """sha256 of stdout and the exit code of every output format and help
+    text: the bytes that reports, pipelines and caches depend on."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("PYLAB_CACHE", raising=False)
+    try:
+        got = main(argv.split())
+    except SystemExit as exc:  # --help
+        got = exc.code
+    assert got == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestWitnessFlow:
     def test_witness_mix_gramcheck(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -702,6 +777,31 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.witness, "build_witness", boom)
         assert main(["witness", "3", "3"]) == 3
+
+    def test_memory_error_maps_to_4(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        monkeypatch.setattr(cli.generic, "rank_mod_p", boom)
+        assert main(["ik", "3", "2", "5"]) == 4
+        assert capsys.readouterr() == ("", (
+            "soslen: error: out of memory in 'ik 3 2 5' (Unable to allocate 1.00 GiB); "
+            "--allow-large lifts the size guard, not the memory limit\n"))
+
+    def test_dead_pool_worker_maps_to_4(self, monkeypatch, capsys):
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        monkeypatch.setattr(cli.generic, "ik_verify", _exit_at_once)
+        assert main(["ik", "--sweep", "3", "2", "--parallelism", "2"]) == 4
+        assert capsys.readouterr() == ("", (
+            "soslen: error: out of memory in 'ik --sweep 3 2 --parallelism 2' "
+            "(a worker process died); --allow-large lifts the size guard, not the "
+            "memory limit\n"))
+
+
+def _exit_at_once(**kwargs):
+    """A pool worker that dies as the out-of-memory killer leaves it."""
+    os._exit(1)
 
 
 class TestUsageErrors:

@@ -75,10 +75,11 @@ class TestMonomialIndexing:
         for n in range(1, 7):
             for e1 in range(6):
                 for e2 in range(6):
+                    index = {m: i for i, m in enumerate(enumerate_oracle(n, e1 + e2))}
                     oracle = tuple(
-                        tuple(mono_rank(tuple(a + b for a, b in zip(u, v)))
-                              for v in monomials(n, e2))
-                        for u in monomials(n, e1)
+                        tuple(index[tuple(a + b for a, b in zip(u, v))]
+                              for v in enumerate_oracle(n, e2))
+                        for u in enumerate_oracle(n, e1)
                     )
                     assert product_index_table(n, e1, e2) == oracle, (n, e1, e2)
 
