@@ -293,7 +293,7 @@ def cmd_ik(cfg: RunConfig):
     n = cfg.param("n")
     d = cfg.param("d")
     if cfg.params["sweep"]:
-        s_values = range(bounds.dim_forms(n, d - 1), bounds.dim_forms(n, d))
+        s_values = generic.ik_range(n, d)  # rejects n < 3 or d < 2, even if the range is empty
     else:
         s_values = [cfg.param("s")]
     jobs = [

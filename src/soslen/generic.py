@@ -7,9 +7,11 @@ rank.  So whenever a computed Hilbert-function value meets its proven
 lower bound, that single instance is an unconditional certificate; excess
 values only ever trigger resampling, never refutation.
 
-All experiments run the same integer instance at two primes and require
-agreement.  Coordinates are sampled below the smaller prime so one integer
-point set serves every modulus.
+Every experiment ranks its integer instance at the first prime and
+reports that rank as soon as it meets the proven bound; only a rank short
+of the bound or above it (or an experiment with no bound) is ranked at the
+other primes too, and then they must agree.  Coordinates are sampled below
+the smaller prime so one integer point set serves every modulus.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "pair_products_rank",
     "dim_square_component",
     "EXCEPTIONAL_TRIPLES",
+    "ik_range",
     "ik_expected",
     "ik_verify",
     "generic_ideal_dim",
@@ -218,7 +221,7 @@ def pair_products_rank(vectors, n: int, d: int, prime: int, rows=None, seed=0) -
 
 def _expected_square_rank(n: int, d: int, s: int) -> int | None:
     """The proven bound N_{2d} - ik_expected on the square-component rank."""
-    if n >= 3 and d >= 2 and dim_forms(n, d - 1) <= s < dim_forms(n, d):
+    if n >= 3 and d >= 2 and s in ik_range(n, d):
         return dim_forms(n, 2 * d) - ik_expected(n, d, s)
     return None
 
@@ -242,14 +245,21 @@ def _check_guard(entries: int, allow_large: bool, what: str):
 
 
 def _experiment(sample, rank, what: str, **fields) -> DimensionReport:
-    """Report, with ``fields``, the rank of the first instance ``sample(rnd)``
-    that ``rank(instance, p)`` ranks alike at every prime (GenericityError
-    after _SAMPLE_ROUNDS rounds).  Verified if it meets the expected value
-    (or none is set), InconclusiveHigh below it; above it a proven bound
-    failed, so raise InternalCheckError with ``what`` formatted by the report."""
+    """Report, with ``fields``, the rank ``rank(instance, p)`` of the first
+    instance ``sample(rnd)`` that is settled (GenericityError after
+    _SAMPLE_ROUNDS rounds).  A first-prime rank equal to the expected value
+    settles it alone: a rank mod p never exceeds the rational rank, which
+    never exceeds the proven bound, so other primes could only fall short.
+    Any other first-prime rank settles it only if every prime ranks alike.
+    Verified if it meets the expected value (or none is set),
+    InconclusiveHigh below it; above it a proven bound failed, so raise
+    InternalCheckError with ``what`` formatted by the report."""
+    first, *others = fields["primes"]
     for rnd in range(_SAMPLE_ROUNDS):
         instance = sample(rnd)
-        ranks = {rank(instance, p) for p in fields["primes"]}
+        ranks = {rank(instance, first)}
+        if ranks != {fields["expected"]}:
+            ranks.update(rank(instance, p) for p in others)
         if len(ranks) == 1:
             break
     else:
@@ -286,10 +296,11 @@ def dim_square_component(
 ) -> DimensionReport:
     """Dimension of span{p_i p_j} for a vanishing-ideal basis of s generic points.
 
-    Runs the same integer instance at every prime and demands agreement.
-    The report carries the rank facet; the Hilbert-function value is
-    N_{2d} - computed.  A rank above the conjectured dimension would break
-    a proven inequality and raises InternalCheckError.
+    The first prime's rank settles the instance when it meets the proven
+    bound; otherwise every prime must agree (see ``_experiment``).  The
+    report carries the rank facet; the Hilbert-function value is N_{2d} -
+    computed.  A rank above the conjectured dimension would break a proven
+    inequality and raises InternalCheckError.
     """
     params = DegreeParams(n, d)
     N_d, N_2d = params.N_d, params.N_2d
@@ -311,20 +322,24 @@ def dim_square_component(
 EXCEPTIONAL_TRIPLES = frozenset({(3, 2, 5), (4, 2, 9), (5, 2, 14)})
 
 
+def ik_range(n: int, d: int) -> range:
+    """The point counts s of the expected-value formula, [N_{d-1}, N_d)."""
+    if n < 3 or d < 2:
+        raise ValueError(f"expected-value formula needs n >= 3, d >= 2, got ({n}, {d})")
+    return range(dim_forms(n, d - 1), dim_forms(n, d))
+
+
 def ik_expected(n: int, d: int, s: int) -> int:
     """Conjectured Hilbert-function value h_{2d} of the squared point ideal.
 
     max{n*s, N_{2d} - C(N_d - s + 1, 2)}, with max replaced by min at the
     three exceptional triples (3,2,5), (4,2,9), (5,2,14).
     """
-    if n < 3 or d < 2:
-        raise ValueError(f"expected-value formula needs n >= 3, d >= 2, got ({n}, {d})")
+    s_range = ik_range(n, d)
+    if s not in s_range:
+        raise ValueError(f"s={s} outside [N_(d-1), N_d) = [{s_range.start}, {s_range.stop})")
     params = DegreeParams(n, d)
     N_d, N_2d = params.N_d, params.N_2d
-    if not dim_forms(n, d - 1) <= s < N_d:
-        raise ValueError(
-            f"s={s} outside [N_(d-1), N_d) = [{dim_forms(n, d - 1)}, {N_d})"
-        )
     a = n * s
     c = N_2d - binomial(N_d - s + 1, 2)
     return min(a, c) if (n, d, s) in EXCEPTIONAL_TRIPLES else max(a, c)

@@ -107,6 +107,13 @@ class TestIkCommand:
         out = capsys.readouterr().out
         assert "Verified" in out and "computed=14" in out
 
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 1)])
+    def test_sweep_outside_the_formula_exits_4(self, n, d, capsys):
+        # [N_{d-1}, N_d) is empty at (1, 2): no job would run to reject it
+        assert main(["ik", "--sweep", str(n), str(d)]) == 4
+        assert capsys.readouterr() == ("", (
+            f"soslen: error: expected-value formula needs n >= 3, d >= 2, got ({n}, {d})\n"))
+
     def test_sweep_sorted_and_verified(self, capsys):
         assert main(["ik", "--sweep", "3", "2", "--seed", "4", "--format", "json"]) == 0
         records = json.loads(capsys.readouterr().out)

@@ -458,8 +458,28 @@ class TestGenericIdealDim:
             generic_ideal_dim(3, 2, 0, seed=6)
 
 
+@pytest.fixture
+def primes_ranked(monkeypatch):
+    """The primes the rank experiments rank at, in call order: ``_experiment``
+    runs with its rank callable wrapped to record each prime."""
+    ranked = []
+    experiment = generic._experiment
+
+    def recording(sample, rank, what, **fields):
+        def recorded(instance, p):
+            ranked.append(p)
+            return rank(instance, p)
+
+        return experiment(sample, recorded, what, **fields)
+
+    monkeypatch.setattr(generic, "_experiment", recording)
+    return ranked
+
+
 class TestVerdicts:
-    """The verdict and resampling rules shared by the two-prime experiments."""
+    """The verdict and resampling rules shared by the two-prime experiments.
+
+    dim_square_component(3, 3, 6) has the proven rank bound N_6 - 18 = 10."""
 
     def test_rank_below_expected_is_inconclusive(self):
         rep = generic_ideal_dim(3, 2, 1, seed=6, expected=100)
@@ -481,6 +501,64 @@ class TestVerdicts:
         monkeypatch.setattr(generic, "rank_mod_p", lambda M: M.p)
         with pytest.raises(GenericityError, match="prime disagreement"):
             generic_ideal_dim(3, 2, 1, seed=6)
+
+    def test_rank_meeting_the_bound_is_ranked_at_the_first_prime_only(self, primes_ranked):
+        rep = dim_square_component(3, 3, 6, seed=8)
+        assert (rep.computed, rep.expected, rep.status) == (10, 10, Status.VERIFIED)
+        assert primes_ranked == [P1] and rep.primes == DEFAULT_PRIMES
+        # the first configured prime is the one ranked; the report lists them all
+        rep = dim_square_component(3, 3, 6, seed=8, primes=(P2, P1))
+        assert rep.status is Status.VERIFIED and rep.primes == (P2, P1)
+        assert primes_ranked == [P1, P2]
+        primes_ranked.clear()
+        reports = [ik_verify(3, 2, s, seed=4) for s in range(3, 6)]
+        assert [r.status for r in reports] == [Status.VERIFIED] * 3
+        assert typical_length(3, 2, seed=10).r_found == 3
+        assert primes_ranked == [P1] * 4  # one rank per instance
+
+    def test_first_prime_short_of_the_bound_ranks_every_prime(self, monkeypatch, primes_ranked):
+        monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: 9)
+        rep = dim_square_component(3, 3, 6, seed=8)
+        assert (rep.computed, rep.status) == (9, Status.INCONCLUSIVE_HIGH)
+        assert primes_ranked == [P1, P2]
+
+    @pytest.mark.parametrize("first", [9, 11])
+    def test_first_prime_off_the_bound_and_the_second_disagreeing_resamples(
+            self, monkeypatch, primes_ranked, first):
+        monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: {P1: first, P2: 10}[p])
+        with pytest.raises(GenericityError, match="prime disagreement"):
+            dim_square_component(3, 3, 6, seed=8)
+        assert primes_ranked == [P1, P2] * generic._SAMPLE_ROUNDS
+
+    def test_first_prime_above_the_bound_needs_agreement_to_fail(self, monkeypatch,
+                                                                 primes_ranked, capsys):
+        monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: 11)
+        with pytest.raises(InternalCheckError, match="rank 11 exceeds the structural bound 10"):
+            dim_square_component(3, 3, 6, seed=8)
+        assert primes_ranked == [P1, P2]
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        assert main(["ik", "3", "3", "6"]) == 5
+        assert primes_ranked == [P1, P2] * 2
+        assert "internal check violated" in capsys.readouterr().err
+
+    def test_no_expected_value_ranks_every_prime(self, primes_ranked):
+        rep = generic_ideal_dim(3, 2, 1, seed=6)
+        assert (rep.computed, rep.expected, rep.status) == (6, None, Status.VERIFIED)
+        assert primes_ranked == [P1, P2]
+
+    def test_second_prime_short_of_the_bound_is_never_asked(self, monkeypatch, primes_ranked):
+        # the first prime meets the bound, so the second's shortfall, which
+        # would be a disagreement in every round, is never computed
+        square_rank, rank = generic._square_rank, generic.rank_mod_p
+        monkeypatch.setattr(generic, "_square_rank",
+                            lambda pts, n, d, p: square_rank(pts, n, d, p) - (p == P2))
+        rep = ik_verify(3, 3, 6, seed=8)
+        assert (rep.computed, rep.expected, rep.status) == (18, 18, Status.VERIFIED)
+        assert rep.primes == DEFAULT_PRIMES
+        monkeypatch.setattr(generic, "rank_mod_p", lambda M: rank(M) - (M.p == P2))
+        res = typical_length(3, 2, seed=10)
+        assert (res.r_found, res.status.value) == (3, "Exact")
+        assert primes_ranked == [P1, P1]
 
 
 class TestTypicalLength:
