@@ -277,16 +277,19 @@ def cmd_bounds(cfg: RunConfig):
 
 def cmd_table(cfg: RunConfig):
     if cfg.params["paper_table"]:
-        return paper_table_text(), EXIT_OK, {}
-    n_min, n_max = cfg.params["n_min"], cfg.params["n_max"]
-    d_min, d_max = cfg.params["d_min"], cfg.params["d_max"]
-    if n_min < 3 or d_min < 2:
-        raise ValueError("table ranges need n >= 3 and d >= 2")
-    for what, lo, hi in (("n", n_min, n_max), ("d", d_min, d_max)):
-        if hi < lo:
-            raise ValueError(f"empty table range: --{what}-min {lo} > --{what}-max {hi}")
-    rows = bounds.bounds_table(range(n_min, n_max + 1), range(d_min, d_max + 1))
-    return _render_bounds(rows, cfg.format), EXIT_OK, {}
+        if cfg.format == "table":
+            return paper_table_text(), EXIT_OK, {}
+        ns, ds = _PAPER_TABLE_NS, _PAPER_TABLE_DS
+    else:
+        n_min, n_max = cfg.params["n_min"], cfg.params["n_max"]
+        d_min, d_max = cfg.params["d_min"], cfg.params["d_max"]
+        if n_min < 3 or d_min < 2:
+            raise ValueError("table ranges need n >= 3 and d >= 2")
+        for what, lo, hi in (("n", n_min, n_max), ("d", d_min, d_max)):
+            if hi < lo:
+                raise ValueError(f"empty table range: --{what}-min {lo} > --{what}-max {hi}")
+        ns, ds = range(n_min, n_max + 1), range(d_min, d_max + 1)
+    return _render_bounds(bounds.bounds_table(ns, ds), cfg.format), EXIT_OK, {}
 
 
 def cmd_ik(cfg: RunConfig):
@@ -457,10 +460,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("table", help="bounds table over ranges of (n, d)")
     p.add_argument("--paper-table", dest="paper_table", action="store_true",
                    help="preset layout: n=4..6, d=2..8")
-    p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--d-min", type=int, default=2)
-    p.add_argument("--d-max", type=int, default=8)
+    p.add_argument("--n-min", type=int, default=_PAPER_TABLE_NS[0])
+    p.add_argument("--n-max", type=int, default=_PAPER_TABLE_NS[-1])
+    p.add_argument("--d-min", type=int, default=_PAPER_TABLE_DS[0])
+    p.add_argument("--d-max", type=int, default=_PAPER_TABLE_DS[-1])
     _add_common(p, with_seed=False)
 
     p = sub.add_parser("ik", help="verify the conjectured squared-ideal dimension")

@@ -22,7 +22,6 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -142,28 +141,21 @@ def _gate_ok(points, n: int, d: int, p: int) -> bool:
 
 
 def _sample_instance(n, d, s, seed, primes):
-    """Integer point set passing the gate at every prime, or GenericityError."""
+    """Integer point set passing the gate at the first prime, or
+    GenericityError.  Coordinates lie below the smallest prime, so the one
+    set serves every modulus.  A gate passed mod p also passes over Q; an
+    instance that is not generic at another prime shows up there as a
+    disagreement, and ``_experiment`` resamples it."""
     bound = min(primes)
     for rnd in range(_SAMPLE_ROUNDS):
         rng = random.Random(derive_seed(seed, "points", rnd))
         pts = _raw_points(n, s, 0, bound, rng)
-        if all(_gate_ok(pts, n, d, p) for p in primes):
+        if _gate_ok(pts, n, d, primes[0]):
             return tuple(pts)
     raise GenericityError(
         f"no generic sample of {s} points found in {_SAMPLE_ROUNDS} rounds at "
         f"(n={n}, d={d}); prime too small or pathological parameters"
     )
-
-
-@lru_cache(maxsize=4)
-def _lattice_eval(n: int, d: int, p: int) -> np.ndarray:
-    """N_d x N_2d values mod p of the degree-d monomials (rows) at the
-    lattice points y >= 0, |y| = 2d, in ``monomials(n, 2d)`` order
-    (columns).  Read-only, since the cache shares it."""
-    y = _factors(n, 2 * d)[:, :, None] == np.arange(n)
-    E = _eval_matrix_mod_p(y.sum(axis=1), n, d, p).T
-    E.flags.writeable = False
-    return E
 
 
 def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarray:
@@ -177,37 +169,35 @@ def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarr
     )
 
 
-def pair_products_rank(vectors, n: int, d: int, prime: int, rows=None, seed=0) -> int:
-    """Rank mod prime of the C(b+1,2) x N_{2d} matrix of pairwise products.
+def pair_products_rank(vectors, n: int, d: int, prime: int, target=None, seed=0) -> int:
+    """Rank mod prime of the C(b+1,2) x N_{2d} matrix of pairwise products,
+    or, when that is at least ``target`` (default min(C(b+1,2), N_{2d})),
+    a value from ``target`` up to it.
 
     ``vectors`` are degree-d coefficient vectors (any integers; reduced
     here).  Full row rank certifies that the products are independent over
     the rationals as well.
 
-    For prime > 2d the products are ranked in evaluation form: with G the
-    vectors' values at the lattice points Y = {y >= 0, |y| = 2d}, row
-    (i, j) is G_i * G_j, the values of v_i v_j.  That matrix is the
-    coefficient matrix times the evaluation matrix of the degree-2d
-    monomials at Y, which is invertible mod p, so the ranks are equal.
-    For alpha in Y, the form l_alpha = prod_i prod_{j < alpha_i}
-    (2d x_i - j (x_1 + ... + x_n)) has degree 2d and vanishes at every
-    other point of Y (some y_i < alpha_i there, and the factor j = y_i is
-    0), while l_alpha(alpha) = (2d)^(2d) prod_i alpha_i!, a product of
-    integers at most 2d, so nonzero mod p.  For prime <= 2d (and n >= 2)
-    no set of points over F_p determines the degree-2d forms: x^p y - x y^p,
-    times x^(2d-p-1), vanishes at every point of P^(n-1)(F_p).  There the
-    coefficient rows themselves are ranked.  In evaluation form, ``rows``
-    = K below C(b+1,2) ranks the K squares (U G)_k^2, U random K x b from
-    ``seed``: combinations of the products that span them for odd p, of rank
-    R <= K with probability >= 1 - 2R/p (Schwartz-Zippel; Cheung et al. 2013).
+    Row (i, j) is first G_i * G_j, with G the vectors' values at m random
+    points of F_p^n: the coefficient matrix times an evaluation matrix, so
+    its rank never exceeds the true rank R, and falls short with probability
+    at most 2dR/p (Schwartz, JACM 1980; Zippel, EUROSAM 1979).  Below
+    C(b+1,2), the K = target + 1 rows that show a rank above the target are
+    random squares (U G)_k^2 (U is K x b from ``seed``), combinations of the
+    products that span them for odd p; m = min(K, N_{2d}) points suffice.
+    A rank below ``target`` gives way to that of the coefficient rows, exact
+    at every prime (also p <= 2d or p = 2, where no points need reach it).
     """
-    N_d = dim_forms(n, d)
-    vecs = PrimeMatrix(vectors, prime, cols=N_d).arr
-    if prime <= 2 * d:
-        return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
-    G = matmul_mod_p(vecs, _lattice_eval(n, d, prime), prime)
+    vecs = PrimeMatrix(vectors, prime, cols=dim_forms(n, d)).arr
+    pairs, N_2d = len(vecs) * (len(vecs) + 1) // 2, dim_forms(n, 2 * d)
+    if target is None:
+        target = min(pairs, N_2d)
+    rows = min(target + 1, pairs)
+    rng = random.Random(derive_seed(seed, "points"))
+    points = [[rng.randrange(prime) for _ in range(n)] for _ in range(min(rows, N_2d))]
+    G = matmul_mod_p(vecs, _eval_matrix_mod_p(points, n, d, prime).T, prime)
     # products of two residues stay below prime^2 < 2^63; PrimeMatrix reduces
-    if rows is not None and rows < len(G) * (len(G) + 1) // 2:
+    if rows < pairs:
         U = np.random.default_rng(seed).integers(0, prime, (rows, len(G)))
         prod = matmul_mod_p(U, G, prime) ** 2
     else:
@@ -216,7 +206,10 @@ def pair_products_rank(vectors, n: int, d: int, prime: int, rows=None, seed=0) -
         prod *= G[j]
     mat = PrimeMatrix(prod, prime)
     del prod  # rank_mod_p makes a float copy of mat; free the unreduced rows first
-    return rank_mod_p(mat)
+    rank = rank_mod_p(mat)
+    if rank < target:
+        return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
+    return rank
 
 
 def _expected_square_rank(n: int, d: int, s: int) -> int | None:
@@ -227,13 +220,11 @@ def _expected_square_rank(n: int, d: int, s: int) -> int | None:
 
 
 def _square_rank(points, n: int, d: int, p: int) -> int:
-    """Rank of the pairwise products of a vanishing-ideal basis, from N_{2d}
-    squares, or one above the proven bound: a rank above it still shows."""
+    """Rank of the pairwise products of a vanishing-ideal basis, with the
+    proven bound as the target: a rank above it still shows."""
     kern = kernel_basis_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p))
-    bound = _expected_square_rank(n, d, len(points))  # below N_{2d}
-    rows = dim_forms(n, 2 * d) if bound is None else bound + 1
     seed = derive_seed(p, "compress", tuple(map(tuple, points)))
-    return pair_products_rank(kern, n, d, p, rows, seed)
+    return pair_products_rank(kern, n, d, p, _expected_square_rank(n, d, len(points)), seed)
 
 
 def _check_guard(entries: int, allow_large: bool, what: str):
@@ -306,7 +297,8 @@ def dim_square_component(
     N_d, N_2d = params.N_d, params.N_2d
     if not 1 <= s <= N_d:
         raise ValueError(f"need 1 <= s <= N_d = {N_d}, got s={s}")
-    # on the nominal size: C(b+1,2) product rows (compressed or not), N_d lattice rows
+    # C(b+1,2) product rows (compressed or not), and N_d rows: the lattice values
+    # once held, still counted so the jobs that need allow_large stay the same
     _check_guard(max(binomial(N_d - s + 1, 2), N_d) * N_2d, allow_large, "square-component job")
 
     return _experiment(

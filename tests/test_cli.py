@@ -236,11 +236,12 @@ _FORMAT_CASES = {
         "json": "04b3e28b62531bb21891efc34997663063ed21ba77588c7c96f3a44f9e538da0",
         "csv": "539e7614fc85deeebad3e2804322c9094a9e6b467b98e652f85f7bbdfc83f544",
     }),
-    # the preset layout ignores --format
-    "table --paper-table": (0, dict.fromkeys(
-        ("table", "json", "csv"),
-        "07ae520b7f61246a31cc860e595ecbb02a71dc83751c3f70eb993dd16ac0e0ba",
-    )),
+    # the preset layout as text; as records, the bytes of the default ranges
+    "table --paper-table": (0, {
+        "table": "07ae520b7f61246a31cc860e595ecbb02a71dc83751c3f70eb993dd16ac0e0ba",
+        "json": "a5dabdcc9db8af74fa6bab7b94a899a6db9485880d86fa1c2e87030925880017",
+        "csv": "c06518007fec9f79048117c705b73fdf3d8ee60d772fbdf1046296e176730bc2",
+    }),
     "ik 3 2 5 --seed 4": (0, {
         "table": "fe9a7b6eaa2b9da352bf70355d4129ea7d891fcc3e8067212d6fabafadf04755",
         "json": "535797a3a23434c557dc156a8b7e1b69978187aec66a2a7fad6e9330e7a1e84c",
