@@ -183,9 +183,11 @@ def verify(cert):
     return failures
 
 
-# What a missing, unreadable, non-JSON or ill-shaped certificate raises;
-# each is reported as one INVALID line instead of a traceback.
-MALFORMED = (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
+# What a missing, unreadable, non-JSON, too deeply nested or ill-shaped
+# certificate raises; each is reported as one INVALID line instead of a
+# traceback.
+MALFORMED = (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+             RecursionError)
 
 
 def main():

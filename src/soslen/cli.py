@@ -388,8 +388,8 @@ def _cache_lookup(path: str, key: str) -> dict | None:
             continue  # a record with this key spells it out on its line
         try:
             rec = json.loads(line)
-        except ValueError:
-            continue  # torn by a crash mid-append: never a hit
+        except (ValueError, RecursionError):
+            continue  # torn by a crash mid-append, or nested too deep: never a hit
         if isinstance(rec, dict) and rec.get("key") == key and _replayable(rec):
             hit = rec
     return hit

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
 from .linalg import PrimeMatrix, kernel_basis_mod_p, matmul_mod_p, rank_mod_p
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
-from .ring import product_index_table
+from .ring import monomials, product_index_table
 
 __all__ = [
     "DEFAULT_SEED",
@@ -106,10 +106,14 @@ def _raw_points(n: int, s: int, lo: int, hi: int, rng: random.Random) -> list[tu
     return pts
 
 
+@lru_cache(maxsize=None)
 def _factors(n: int, e: int) -> np.ndarray:
-    """N_{n,e} x e variables of the degree-e monomials (x1^2 x3 is [0, 0, 2]),
-    in ``monomials`` order, which is lex order on these sorted tuples."""
-    return np.array(list(itertools.combinations_with_replacement(range(n), e)), dtype=np.int64)
+    """Read-only N_{n,e} x e variables of the degree-e monomials, in
+    ``monomials`` order: x1^2 x3 is [0, 0, 2]."""
+    monos = np.array(monomials(n, e), dtype=np.int64)
+    factors = np.repeat(np.tile(np.arange(n), len(monos)), monos.ravel()).reshape(len(monos), e)
+    factors.flags.writeable = False
+    return factors
 
 
 def _eval_matrix_mod_p(points, n: int, e: int, p: int):
@@ -170,43 +174,33 @@ def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarr
 
 
 def pair_products_rank(vectors, n: int, d: int, prime: int, target=None, seed=0) -> int:
-    """Rank mod prime of the C(b+1,2) x N_{2d} matrix of pairwise products,
-    or, when that is at least ``target`` (default min(C(b+1,2), N_{2d})),
-    a value from ``target`` up to it.
+    """Rank R mod prime of the coefficient matrix of the C(b+1,2) pairwise
+    products of degree-d coefficient vectors (any integers; reduced here),
+    when R <= ``target`` (default min(C(b+1,2), N_{2d})); above it, a value
+    from ``target`` up to R.  Full row rank certifies rational independence.
 
-    ``vectors`` are degree-d coefficient vectors (any integers; reduced
-    here).  Full row rank certifies that the products are independent over
-    the rationals as well.
-
-    Row (i, j) is first G_i * G_j, with G the vectors' values at m random
-    points of F_p^n: the coefficient matrix times an evaluation matrix, so
-    its rank never exceeds the true rank R, and falls short with probability
-    at most 2dR/p (Schwartz, JACM 1980; Zippel, EUROSAM 1979).  Below
-    C(b+1,2), the K = target + 1 rows that show a rank above the target are
-    random squares (U G)_k^2 (U is K x b from ``seed``), combinations of the
-    products that span them for odd p; m = min(K, N_{2d}) points suffice.
-    A rank below ``target`` gives way to that of the coefficient rows, exact
-    at every prime (also p <= 2d or p = 2, where no points need reach it).
+    It ranks the squares (U G)_k^2 of K = min(target + 1, C(b+1,2)) random
+    combinations of G, the vectors' values at m = min(K, N_{2d}) random
+    points; U and then the points are the little-endian 64-bit words of
+    ``random.Random(seed).randbytes``, mod prime.  The squares combine the
+    products and the columns evaluate them, so that rank is at most R, and
+    short of it with probability at most 2(d+1)R/p where some U and points
+    reach R (Schwartz, JACM 1980; Zippel, EUROSAM 1979).  A rank reaching a
+    target >= R is R; one below it gives way to the coefficient rows' rank,
+    exact at every prime.  So U and the points decide only whether that
+    fallback runs, never the value.
     """
     vecs = PrimeMatrix(vectors, prime, cols=dim_forms(n, d)).arr
-    pairs, N_2d = len(vecs) * (len(vecs) + 1) // 2, dim_forms(n, 2 * d)
-    if target is None:
-        target = min(pairs, N_2d)
-    rows = min(target + 1, pairs)
-    rng = random.Random(derive_seed(seed, "points"))
-    points = [[rng.randrange(prime) for _ in range(n)] for _ in range(min(rows, N_2d))]
+    b, N_2d = len(vecs), dim_forms(n, 2 * d)
+    pairs = b * (b + 1) // 2
+    target = min(pairs, N_2d) if target is None else target
+    K = min(target + 1, pairs)
+    words = np.frombuffer(random.Random(seed).randbytes(8 * K * (b + n)), dtype="<u8")
+    words = (words % np.uint64(prime)).astype(np.int64)
+    U, points = words[: K * b].reshape(K, b), words[K * b :].reshape(K, n)[: min(K, N_2d)]
     G = matmul_mod_p(vecs, _eval_matrix_mod_p(points, n, d, prime).T, prime)
-    # products of two residues stay below prime^2 < 2^63; PrimeMatrix reduces
-    if rows < pairs:
-        U = np.random.default_rng(seed).integers(0, prime, (rows, len(G)))
-        prod = matmul_mod_p(U, G, prime) ** 2
-    else:
-        i, j = np.triu_indices(len(G))
-        prod = G[i]
-        prod *= G[j]
-    mat = PrimeMatrix(prod, prime)
-    del prod  # rank_mod_p makes a float copy of mat; free the unreduced rows first
-    rank = rank_mod_p(mat)
+    # squares stay below prime^2 < 2^63; freed once reduced, before rank_mod_p's float copy
+    rank = rank_mod_p(PrimeMatrix(matmul_mod_p(U, G, prime) ** 2, prime))
     if rank < target:
         return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
     return rank
@@ -233,6 +227,13 @@ def _check_guard(entries: int, allow_large: bool, what: str):
             f"{what} needs a dense matrix with {entries} entries "
             f"(> {MAX_DENSE_ENTRIES}); pass allow_large/--allow-large to run it"
         )
+
+
+def _check_pair_product_guard(b: int, n: int, d: int, allow_large: bool, what: str):
+    """Guard a pair-product rank of b vectors by its exact fallback, which
+    holds C(b+1,2) x N_{2d} coefficient rows and builds one N_d x N_{2d}
+    ``_ideal_matrix`` block per vector (809 MB each at ``ik 40 2 800``)."""
+    _check_guard(max(binomial(b + 1, 2), dim_forms(n, d)) * dim_forms(n, 2 * d), allow_large, what)
 
 
 def _experiment(sample, rank, what: str, **fields) -> DimensionReport:
@@ -293,13 +294,10 @@ def dim_square_component(
     computed.  A rank above the conjectured dimension would break a proven
     inequality and raises InternalCheckError.
     """
-    params = DegreeParams(n, d)
-    N_d, N_2d = params.N_d, params.N_2d
+    N_d = DegreeParams(n, d).N_d
     if not 1 <= s <= N_d:
         raise ValueError(f"need 1 <= s <= N_d = {N_d}, got s={s}")
-    # C(b+1,2) product rows (compressed or not), and N_d rows: the lattice values
-    # once held, still counted so the jobs that need allow_large stay the same
-    _check_guard(max(binomial(N_d - s + 1, 2), N_d) * N_2d, allow_large, "square-component job")
+    _check_pair_product_guard(N_d - s, n, d, allow_large, "square-component job")
 
     return _experiment(
         lambda rnd: _sample_instance(n, d, s, derive_seed(seed, "square", rnd), primes),

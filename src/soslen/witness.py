@@ -260,7 +260,7 @@ def build_witness(
         )
     b = N_d - s
     target_rank = binomial(b + 1, 2)
-    generic._check_guard(max(target_rank, N_d) * params.N_2d, allow_large, "witness job")
+    generic._check_pair_product_guard(b, n, d, allow_large, "witness job")
     N_prev = dim_forms(n, d - 1)
     injectivity_failed = False
 
@@ -422,8 +422,8 @@ def save_representation(rep: SosRepresentation, path) -> None:
 def load_sos_file(path) -> SosRepresentation:
     """Load either a certificate or a representation file as a representation.
 
-    A file that is not JSON, is of neither shape, or has a missing or
-    ill-typed field is a ValueError that names the file.
+    A file that is not parseable JSON, is of neither shape, or has a missing
+    or ill-typed field is a ValueError that names the file.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -431,6 +431,7 @@ def load_sos_file(path) -> SosRepresentation:
             return basis_representation(LengthCertificate.from_dict(data))
         if data.get("kind") == "sos_representation":
             return representation_from_dict(data)
-    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
         raise ValueError(f"{path} is malformed ({type(exc).__name__}: {exc})") from None
     raise ValueError(f"{path} is neither a certificate nor a representation file")

@@ -352,6 +352,19 @@ class TestWitnessFlow:
         assert (tmp_path / "c.json").exists()
 
 
+# 100,000 nested arrays: deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def run_cli(argv, cwd):
+    """One fresh ``soslen`` process, so that a traceback would reach stderr."""
+    code = "import sys; from soslen.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYLAB_CACHE", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
 class TestStandaloneVerifierMalformed:
     def test_one_invalid_line_per_bad_file(self, tmp_path):
         (tmp_path / "fields.json").write_text('{"basis": [], "witness": []}')
@@ -365,6 +378,15 @@ class TestStandaloneVerifierMalformed:
             lines = [ln for ln in proc.stdout.splitlines() if ln.startswith(path + ":")]
             assert len(lines) == 1, proc.stdout
             assert lines[0].startswith(f"{path}: INVALID (malformed certificate: ")
+
+    def test_deep_nesting_is_one_invalid_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        proc = run_verifier(path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout.count("\n") == 1
+        assert proc.stdout.startswith(f"{path}: INVALID (malformed certificate: RecursionError")
 
 
 VERIFIER = Path(__file__).resolve().parents[1] / "scripts" / "verify_certificate.py"
@@ -606,6 +628,16 @@ class TestCache:
         cli._cache_store(cache, record)
         assert cli._cache_lookup(cache, key) == record
         assert cli._cache_lookup(cache, other)["output"] == f"see {key}\n"
+
+    def test_deeply_nested_line_holding_the_key_is_skipped(self, tmp_path):
+        argv = ["bounds", "3", "4", "--cache", "cache.jsonl"]
+        first = run_cli(argv, tmp_path)
+        key = json.loads((tmp_path / "cache.jsonl").read_text())["key"]
+        (tmp_path / "cache.jsonl").write_text(DEEP_JSON.replace("[]", f'["{key}"]') + "\n")
+        again = run_cli(argv, tmp_path)  # recomputed, not a RecursionError traceback
+        assert (first.returncode, first.stderr) == (again.returncode, again.stderr) == (0, "")
+        assert again.stdout == first.stdout
+        assert "Traceback" not in again.stderr
 
     @pytest.mark.parametrize(
         "fields",
@@ -990,6 +1022,17 @@ class TestMalformedSosFiles:
             err = capsys.readouterr().err
             assert err.startswith("soslen: error:") and err.count("\n") == 1
             assert str(path) in err
+
+    def test_deep_nesting_is_a_usage_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        for argv in (["gramcheck", str(path), str(path)],
+                     ["mix", str(path), str(tmp_path / "m.json")]):
+            proc = run_cli(argv, tmp_path)
+            assert (proc.returncode, proc.stdout) == (4, "")
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith(f"soslen: error: {path} is malformed (RecursionError")
+            assert proc.stderr.count("\n") == 1
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -270,6 +270,31 @@ class TestCompressedPairProducts:
         if p > 2**30:
             assert rank >= min(target, full)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_target_from_the_rank_up_gives_the_rank(self, data):
+        # the point rank never exceeds R, so at a target >= R it is R or it
+        # falls back to the coefficient rows: the seed decides only which
+        n, d = data.draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (2, 3))))
+        p = data.draw(st.sampled_from((3, 5, 101, P1)))
+        N_d = dim_forms(n, d)
+        if data.draw(st.booleans()):
+            s = data.draw(st.integers(max(1, N_d - 8), N_d))
+            pts = generic._sample_instance(n, d, s, data.draw(st.integers(0, 2**32)), (P1,))
+            vecs = kernel_basis_mod_p(PrimeMatrix(generic._eval_matrix_mod_p(pts, n, d, p), p))[:8]
+        else:  # b <= 8 small combinations of k <= b random rows: dependent ones too
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+            b = data.draw(st.integers(0, 8))
+            k = data.draw(st.integers(0, b))
+            vecs = rng.integers(0, 3, (b, k)) @ rng.integers(0, p, (k, N_d)) % p
+        R = coefficient_rank(vecs, n, d, p)
+        pairs = len(vecs) * (len(vecs) + 1) // 2
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3))
+        for target in range(R, pairs + 2):
+            for seed in seeds:
+                assert generic.pair_products_rank(vecs, n, d, p, target, seed) == R
+        assert generic.pair_products_rank(vecs, n, d, p) == R
+
     @pytest.mark.parametrize("n, d, s", [(4, 3, 10), (4, 3, 11), (5, 2, 14), (6, 3, 21)])
     def test_ik_instances_rank_from_one_row_above_the_bound(self, n, d, s, monkeypatch):
         shapes = []

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import soslen.cli as cli
@@ -119,6 +120,15 @@ def test_version_and_cache_hits_skip_bounds_and_ring(argv, cached, tmp_path):
     report = json.loads(proc.stderr.splitlines()[-1])
     assert [m for m in report["new"] if m in EXACT_MODULES] == []
     assert report["lazy"] == {"soslen.bounds": "_LazyModule", "soslen.ring": "_LazyModule"}
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy < 2 imports numpy.random with numpy")
+def test_ik_sweep_leaves_numpy_random_unloaded(tmp_path):
+    proc = python("-c", MODULES_PROBE, "ik", "--sweep", "4", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    new = json.loads(proc.stderr.splitlines()[-1])["new"]
+    assert "numpy" in new and [m for m in new if m.startswith("numpy.random")] == []
 
 
 def test_mix_and_gramcheck_skip_numpy(tmp_path, capsys, monkeypatch):
