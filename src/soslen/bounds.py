@@ -35,20 +35,29 @@ __all__ = [
 ]
 
 
+def _comb(a: int, b: int, what: str) -> int:
+    """math.comb, with a ValueError naming ``what`` where min(b, a - b)
+    exceeds the 2^63 that math.comb can take."""
+    try:
+        return math.comb(a, b)
+    except OverflowError:
+        raise ValueError(f"{what} is too large to compute") from None
+
+
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient C(a, b) with the convention C(a, b) = 0 for b > a."""
     if a < 0 or b < 0:
         raise ValueError(f"binomial requires nonnegative arguments, got ({a}, {b})")
     if b > a:
         return 0
-    return math.comb(a, b)
+    return _comb(a, b, f"the binomial coefficient C({a}, {b})")
 
 
 def dim_forms(n: int, e: int) -> int:
     """Dimension of the space of degree-e forms in n variables: C(n+e-1, n-1)."""
     if n < 1 or e < 0:
         raise ValueError(f"dim_forms requires n >= 1, e >= 0, got ({n}, {e})")
-    return math.comb(n + e - 1, n - 1)
+    return _comb(n + e - 1, n - 1, f"the dimension of degree-{e} forms in n={n} variables")
 
 
 @dataclass(frozen=True)

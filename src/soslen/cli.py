@@ -29,6 +29,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_CERTIFICATION = 3
 EXIT_USAGE = 4
 EXIT_INTERNAL = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a command SIGINT ends
 
 _PAPER_TABLE_NS = (4, 5, 6)
 _PAPER_TABLE_DS = range(2, 9)
@@ -297,6 +298,8 @@ def cmd_ik(cfg: RunConfig):
     d = cfg.param("d")
     if cfg.params["sweep"]:
         s_values = generic.ik_range(n, d)  # rejects n < 3 or d < 2, even if the range is empty
+        if s_values:  # the first s leaves the most vectors: the largest job, guarded first
+            generic._check_square_guard(n, d, s_values.start, cfg.allow_large)
     else:
         s_values = [cfg.param("s")]
     jobs = [
@@ -538,6 +541,9 @@ def main(argv=None) -> int:
         if exc.report is not None:
             print(canonical_json(exc.report.to_dict()), file=sys.stderr, end="")
         return EXIT_INTERNAL
+    except KeyboardInterrupt:  # before the cache store, so nothing is stored
+        print("soslen: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
-from .linalg import PrimeMatrix, kernel_basis_mod_p, matmul_mod_p, rank_mod_p
+from .linalg import _CHUNK, PrimeMatrix, kernel_basis_mod_p, matmul_mod_p, rank_mod_p
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
 from .ring import monomials, product_index_table
 
@@ -162,15 +162,18 @@ def _sample_instance(n, d, s, seed, primes):
     )
 
 
-def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> np.ndarray:
+def _pair_product_rows(vecs: np.ndarray, n: int, d: int, prime: int) -> PrimeMatrix:
     """C(b+1,2) x N_{2d} coefficient rows mod prime of the products v_i v_j,
     i <= j, in that order, for residue rows ``vecs``: row (i, j) is v_j
     times the multiples v_i x^beta of ``_ideal_matrix``."""
-    return np.vstack(
-        [np.zeros((0, dim_forms(n, 2 * d)), dtype=np.int64)]
-        + [matmul_mod_p(vecs[i:], _ideal_matrix(vecs[i : i + 1], n, d), prime)
-           for i in range(len(vecs))]
-    )
+    b = len(vecs)
+    M = PrimeMatrix.zeros((b * (b + 1) // 2, dim_forms(n, 2 * d)), prime)
+    row = 0
+    for i in range(b):
+        ideal = _ideal_matrix(vecs[i : i + 1], n, d, prime).arr
+        matmul_mod_p(vecs[i:], ideal, prime, out=M.arr[row : row + b - i])
+        row += b - i
+    return M
 
 
 def pair_products_rank(vectors, n: int, d: int, prime: int, target=None, seed=0) -> int:
@@ -199,10 +202,14 @@ def pair_products_rank(vectors, n: int, d: int, prime: int, target=None, seed=0)
     words = (words % np.uint64(prime)).astype(np.int64)
     U, points = words[: K * b].reshape(K, b), words[K * b :].reshape(K, n)[: min(K, N_2d)]
     G = matmul_mod_p(vecs, _eval_matrix_mod_p(points, n, d, prime).T, prime)
-    # squares stay below prime^2 < 2^63; freed once reduced, before rank_mod_p's float copy
-    rank = rank_mod_p(PrimeMatrix(matmul_mod_p(U, G, prime) ** 2, prime))
+    squares = PrimeMatrix.zeros((K, len(points)), prime)
+    S = matmul_mod_p(U, G, prime, out=squares.arr)
+    for i in range(0, K, _CHUNK):  # squared in int64 by chunk, below prime^2 < 2^63
+        X = S[i : i + _CHUNK].astype(np.int64)
+        np.remainder(X * X, prime, out=S[i : i + _CHUNK], casting="unsafe")
+    rank = rank_mod_p(squares)
     if rank < target:
-        return rank_mod_p(PrimeMatrix(_pair_product_rows(vecs, n, d, prime), prime))
+        return rank_mod_p(_pair_product_rows(vecs, n, d, prime))
     return rank
 
 
@@ -232,8 +239,19 @@ def _check_guard(entries: int, allow_large: bool, what: str):
 def _check_pair_product_guard(b: int, n: int, d: int, allow_large: bool, what: str):
     """Guard a pair-product rank of b vectors by its exact fallback, which
     holds C(b+1,2) x N_{2d} coefficient rows and builds one N_d x N_{2d}
-    ``_ideal_matrix`` block per vector (809 MB each at ``ik 40 2 800``)."""
+    ``_ideal_matrix`` block per vector (405 MB each at ``ik 40 2 800``)."""
     _check_guard(max(binomial(b + 1, 2), dim_forms(n, d)) * dim_forms(n, 2 * d), allow_large, what)
+
+
+def _check_square_guard(n: int, d: int, s: int, allow_large: bool):
+    """Guard the square-component job of s points, whose vanishing ideal
+    has N_d - s basis vectors in degree d."""
+    _check_pair_product_guard(dim_forms(n, d) - s, n, d, allow_large, "square-component job")
+
+
+def _check_ideal_guard(r: int, params: DegreeParams, allow_large: bool):
+    """Guard the r N_d x N_{2d} ideal matrix of r degree-d forms."""
+    _check_guard(r * params.N_d * params.N_2d, allow_large, "generic-ideal job")
 
 
 def _experiment(sample, rank, what: str, **fields) -> DimensionReport:
@@ -297,7 +315,7 @@ def dim_square_component(
     N_d = DegreeParams(n, d).N_d
     if not 1 <= s <= N_d:
         raise ValueError(f"need 1 <= s <= N_d = {N_d}, got s={s}")
-    _check_pair_product_guard(N_d - s, n, d, allow_large, "square-component job")
+    _check_square_guard(n, d, s, allow_large)
 
     return _experiment(
         lambda rnd: _sample_instance(n, d, s, derive_seed(seed, "square", rnd), primes),
@@ -362,17 +380,16 @@ def ik_verify(
                    computed=dim_forms(n, 2 * d) - rep.computed, expected=expected)
 
 
-def _ideal_matrix(forms: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Rows p_i * x^beta over all degree-d monomials x^beta."""
+def _ideal_matrix(forms: np.ndarray, n: int, d: int, p: int) -> PrimeMatrix:
+    """Rows p_i * x^beta over all degree-d monomials x^beta, mod p."""
     r, N_d = forms.shape
-    N_2d = dim_forms(n, 2 * d)
+    M = PrimeMatrix.zeros((r * N_d, dim_forms(n, 2 * d)), p)
     T = np.asarray(product_index_table(n, d, d), dtype=np.int64)
-    out = np.zeros((r * N_d, N_2d), dtype=np.int64)
     rows_idx = np.arange(N_d)[:, None]
+    residues = forms % p
     for i in range(r):
-        block = out[i * N_d : (i + 1) * N_d]
-        block[rows_idx, T] = forms[i][None, :]
-    return out
+        M.arr[i * N_d : (i + 1) * N_d][rows_idx, T] = residues[i][None, :]
+    return M
 
 
 def generic_ideal_dim(
@@ -393,8 +410,8 @@ def generic_ideal_dim(
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     params = DegreeParams(n, d)
-    N_d, N_2d = params.N_d, params.N_2d
-    _check_guard(r * N_d * N_2d, allow_large, "generic-ideal job")
+    N_d = params.N_d
+    _check_ideal_guard(r, params, allow_large)
     bound = min(primes)
 
     def random_forms(rnd):
@@ -406,7 +423,7 @@ def generic_ideal_dim(
 
     return _experiment(
         random_forms,
-        lambda forms, p: rank_mod_p(PrimeMatrix(_ideal_matrix(forms, n, d), p)),
+        lambda forms, p: rank_mod_p(_ideal_matrix(forms, n, d, p)),
         "ideal dimension {computed} exceeds the cap {expected}",
         quantity=Quantity.GENERIC_IDEAL_DIM_M_R, expected=expected,
         n=n, d=d, s=None, r=r, seed=seed, primes=tuple(primes),
@@ -450,13 +467,16 @@ def typical_length(
     r*N_d - C(r,2) < N_{2d} makes full rank impossible over any field.
     """
     params = DegreeParams(n, d)
-    cap = 2 ** (n - 1)
-    limit = cap if r_max is None else min(r_max, cap)
-    if limit < 1:
+    if r_max is not None and r_max < 1:
         raise ValueError(f"need r_max >= 1, got {r_max}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     certified_lower = lambda_lower(params)[1]
+    if r_max is None or certified_lower <= r_max:
+        # the first job's guard, before the cap, whose n bits a huge n cannot hold
+        _check_ideal_guard(certified_lower, params, allow_large)
+    cap = 2 ** (n - 1)
+    limit = cap if r_max is None else min(r_max, cap)
     r_found = None
     for r in range(certified_lower, limit + 1):
         rep = _first_verified(

@@ -2,13 +2,17 @@
 
 The prime-field kernels are the performance core of the package.  Moduli
 are limited to primes below 2^31.5, so products of two residues cannot
-overflow int64.  The rank is a two-level blocked elimination: a
-per-column int64 sweep finds the pivots of each 32-column panel, mostly
-from its top rows, with the inverse of their pivot block, and the rest of
-the matrix is updated by exact float64 matrix products (BLAS) on centred
-16-bit limbs, as in ``matmul_mod_p``: at once inside the panel's
-128-column block, and once per block right of it.  The sweep is one
-Gauss-Jordan step per column; RREF and kernel run it on the whole matrix.
+overflow int64, and every residue fits a uint32: a ``PrimeMatrix`` holds
+one uint32 array, which producers fill with residues directly.  The rank
+is a two-level blocked elimination of that array in place, so a rank
+holds one copy of its matrix: a per-column int64 sweep finds the pivots
+of each 32-column panel, mostly from its top rows, with the inverse of
+their pivot block, and the rest of the matrix is updated by exact float64
+matrix products (BLAS) on centred 16-bit limbs, as in ``matmul_mod_p``: at
+once inside the panel's 128-column block, and once per block right of it,
+a chunk of rows at a time.  The rank leaves its matrix spent.  The sweep
+is one Gauss-Jordan step per column; RREF and kernel run it on an int64
+copy of the whole matrix.
 
 The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
@@ -47,7 +51,13 @@ __all__ = [
 
 
 class PrimeMatrix:
-    """Dense matrix over F_p, held as an int64 array of residues in [0, p)."""
+    """Dense matrix over F_p, held as one uint32 array ``arr`` of residues
+    in [0, p): every supported modulus is below 2^32.
+
+    ``rank_mod_p`` eliminates ``arr`` in place and deletes it, so the
+    matrix is spent after its rank: any later use raises AttributeError,
+    while ``shape`` and ``p`` stay readable.
+    """
 
     __slots__ = ("p", "shape", "arr")
 
@@ -57,7 +67,9 @@ class PrimeMatrix:
         if isinstance(rows, np.ndarray):
             if rows.ndim != 2:
                 raise ValueError("expected a 2-d array")
-            self.arr = np.ascontiguousarray(rows, dtype=np.int64) % p
+            # the ufunc reduces in buffered chunks, so no full-size temporary
+            self.arr = np.empty(rows.shape, dtype=np.uint32)
+            np.remainder(rows, p, out=self.arr, casting="unsafe")
         else:
             reduced = [[int(x) % p for x in row] for row in rows]
             ncols = len(reduced[0]) if reduced else cols
@@ -65,8 +77,17 @@ class PrimeMatrix:
                 raise ValueError("empty matrix needs an explicit column count")
             if any(len(row) != ncols for row in reduced):
                 raise ValueError("ragged rows")
-            self.arr = np.array(reduced, dtype=np.int64).reshape(len(reduced), ncols)
+            self.arr = np.array(reduced, dtype=np.uint32).reshape(len(reduced), ncols)
         self.shape = self.arr.shape
+
+    @classmethod
+    def zeros(cls, shape: tuple[int, int], p: int) -> "PrimeMatrix":
+        """The zero matrix, for a producer to write its residues into."""
+        _validate_modulus(p)
+        M = cls.__new__(cls)
+        M.p, M.arr = p, np.zeros(shape, dtype=np.uint32)
+        M.shape = M.arr.shape
+        return M
 
 
 # Panel width of the blocked elimination's per-column sweep.  The sweep
@@ -77,8 +98,10 @@ _PANEL = 32
 # product per block.  It bounds the inner dimension of every float64 product
 # (_eliminate, matmul_mod_p) and enters the exactness argument in _eliminate.
 _OUTER = 128
-# Rows per block of the trailing update, which bounds its float64 scratch.
-_CHUNK = 256
+# Rows per block of the trailing update and of matmul_mod_p, which bounds
+# their float64 scratch.  64 and 256 rank a 1540 x 1330 or a 4677 x 4677
+# matrix in the same time within noise; 64 peaks lowest.
+_CHUNK = 64
 _LIMB = 65536.0  # 2^16
 
 
@@ -123,7 +146,7 @@ def _sweep(A: np.ndarray, p: int, carry: int = 0):
 
 def _panel_sweep(P: np.ndarray, p: int):
     """Pivot columns, row swaps and B^-1 of ``_sweep`` with a carry block,
-    on an int64 copy of the float64 residues P."""
+    on an int64 copy of the residues P."""
     A = np.hstack([P, np.zeros_like(P)]).astype(np.int64)
     pivots, swaps = _sweep(A, p, carry=P.shape[1])
     return pivots, swaps, A[: len(pivots), P.shape[1] :][:, : len(pivots)]
@@ -131,7 +154,8 @@ def _panel_sweep(P: np.ndarray, p: int):
 
 def _centred(A: np.ndarray, p: int) -> np.ndarray:
     """Residues in [0, p) as a new float64 array of values in [-(p-1)/2, (p-1)/2]."""
-    return np.where(A > (p - 1) // 2, A - p, A).astype(np.float64)
+    A = A.astype(np.float64)  # first: uint32 residues less p would wrap
+    return np.where(A > (p - 1) // 2, A - p, A)
 
 
 def _limbs(X: np.ndarray, p: int):
@@ -176,24 +200,29 @@ def _sub_mul(T: np.ndarray, F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: in
     T[...] = t
 
 
-def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A . B mod p as an int64 array in [0, p), exactly, for arrays of
-    residues in [0, p) (int64 or integral float64) and any inner dimension.
+def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None):
+    """A . B mod p, exactly, for arrays of residues in [0, p) (integer or
+    integral float64) and any inner dimension: written over ``out``, an
+    integer array, or else returned as a new int64 array.
 
-    The inner dimension is taken ``_OUTER`` columns at a time, and the sum
-    is reduced after each chunk, so every float64 value stays below 2^53.
+    Each ``_OUTER`` columns of A and rows of B add their product to the
+    result, reduced each time (``_sub_mul`` of the negated A), so every
+    float64 value stays below 2^53; A is taken ``_CHUNK`` rows at a time,
+    which bounds the float64 scratch of a product with many rows.
     """
-    F = _centred(A, p)
-    out = np.zeros((A.shape[0], B.shape[1]))
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+    out[...] = 0
     for k in range(0, A.shape[1], _OUTER):
-        hi, lo = _limbs(B[k : k + _OUTER], p)  # by chunk, to bound the scratch
-        out += _limb_product(F[:, k : k + _OUTER], hi, lo, p)
-        _reduce(out, p)
-    return out.astype(np.int64)
+        hi, lo = _limbs(B[k : k + _OUTER], p)
+        for i in range(0, A.shape[0], _CHUNK):
+            F = _centred(A[i : i + _CHUNK, k : k + _OUTER], p)
+            _sub_mul(out[i : i + _CHUNK], np.negative(F, out=F), hi, lo, p)
+    return out
 
 
 def _eliminate(W: np.ndarray, p: int) -> list[int]:
-    """In-place blocked elimination of a float64 array of residues over F_p;
+    """In-place blocked elimination of a uint32 array of residues over F_p;
     returns the pivot columns, whose count is the rank.
 
     The pivots are the greedy ones of a column-by-column sweep (the first
@@ -219,6 +248,8 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
     in L and the limbs of its X in Xhi, Xlo; a panel's pivot rows take the
     pending product L X before it forms its X, and the rows below the
     block's pivots take it when the block ends, ``_CHUNK`` rows at a time.
+    Only those chunks, L and the X limbs are float64, so the scratch is
+    bounded by ``_CHUNK`` and ``_OUTER`` times the width, not by W's size.
 
     Exactness: residues are integers below p <= 3037000499 < 2^53, so
     float64 holds them exactly.  In each product F X, F is centred to
@@ -275,14 +306,20 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
 
 
 def rank_mod_p(M: PrimeMatrix) -> int:
-    """Exact rank over F_p.  Deterministic: same entries give the same sweep."""
-    return len(_eliminate(M.arr.astype(np.float64), M.p))
+    """Exact rank over F_p, eliminating M's array in place with no copy, so
+    M is spent: its ``arr`` is deleted, and a later rank, RREF or kernel of
+    M raises AttributeError.  Deterministic: same entries give the same
+    sweep."""
+    W = M.arr
+    del M.arr  # first, so that no half-eliminated array is left readable
+    return len(_eliminate(W, M.p))
 
 
 def rref_mod_p(M: PrimeMatrix):
     """Reduced row echelon form (int64) and pivot column list by the
-    per-column sweep, faster than the blocked update below ~100 columns."""
-    R = M.arr.copy()
+    per-column sweep on an int64 copy, faster than the blocked update
+    below ~100 columns."""
+    R = M.arr.astype(np.int64)
     return R, _sweep(R, M.p)[0]
 
 

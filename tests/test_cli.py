@@ -7,11 +7,13 @@ import io
 import json
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -356,13 +358,14 @@ class TestWitnessFlow:
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
-def run_cli(argv, cwd):
-    """One fresh ``soslen`` process, so that a traceback would reach stderr."""
+def run_cli(argv, cwd, **kwargs):
+    """One fresh ``soslen`` process, so that a traceback would reach stderr;
+    ``kwargs`` go to ``subprocess.run``."""
     code = "import sys; from soslen.cli import main; sys.exit(main())"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     env.pop("PYLAB_CACHE", None)
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, cwd=cwd)
+                          env=env, cwd=cwd, **kwargs)
 
 
 class TestStandaloneVerifierMalformed:
@@ -837,6 +840,61 @@ class TestExitCodes:
             "soslen: error: out of memory in 'ik --sweep 3 2 --parallelism 2' "
             "(a worker process died); --allow-large lifts the size guard, not the "
             "memory limit\n"))
+
+
+HUGE = "99999999999999999999"
+
+
+def _limit_address_space():
+    """Run in the child before exec: 2 GiB of address space, so that a
+    runaway allocation fails there instead of filling the machine."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestHugeInputs:
+    """An n or d too large to work with is refused at once: exit 4 and one
+    stderr line, not an OverflowError, a 2^(n-1) cap or one job per s."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", HUGE, HUGE],
+        ["ik", HUGE, HUGE, "5"],
+        ["witness", HUGE, HUGE],
+        ["typical", HUGE, "3"],
+        ["ik", "--sweep", "3", HUGE],
+    ], ids=" ".join)
+    def test_exits_4_with_one_line(self, argv, tmp_path):
+        proc = run_cli(argv, tmp_path, timeout=20, preexec_fn=_limit_address_space)
+        assert proc.returncode == 4, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("soslen: error:")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert "out of memory" not in proc.stderr  # refused before any large allocation
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGINT"), reason="sends SIGINT")
+def test_sigint_exits_130_with_one_line_and_no_cache(tmp_path):
+    # the child says when soslen is loaded; the sweep takes seconds after that
+    code = ("import sys\nfrom soslen.cli import main\nprint('loaded', flush=True)\n"
+            "sys.exit(main())")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYLAB_CACHE", None)
+    argv = ["ik", "--sweep", "6", "4", "--cache", "c.jsonl"]
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+    try:
+        assert proc.stdout.readline() == "loaded\n"
+        time.sleep(0.5)
+        assert proc.poll() is None  # still computing
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130
+    assert (out, err) == ("", "soslen: interrupted\n")
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def _exit_at_once(**kwargs):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soslen.generic as generic
+from soslen import linalg
 from soslen.bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from soslen.cli import main
 from soslen.errors import GenericityError, GuardError, InternalCheckError
@@ -84,6 +86,27 @@ def coefficient_rank(vectors, n, d, p):
     vecs = np.array([[int(x) % p for x in v] for v in vectors],
                     dtype=np.int64).reshape(len(vectors), dim_forms(n, d))
     return rank_mod_p(PrimeMatrix(reference_pair_product_rows(vecs, n, d, p), p))
+
+
+def peak_kb(argv) -> int:
+    """VmHWM in kB of one ``soslen argv`` run in a fresh process, which must
+    exit 0.  The peak is VmHWM, not ru_maxrss: a process that subprocess
+    starts by vfork keeps the peak of its parent's memory across exec."""
+    code = (
+        "import sys\n"
+        "from soslen.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ)
+    env.pop("PYLAB_CACHE", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1])
 
 
 class TestSampling:
@@ -243,7 +266,7 @@ class TestPairProductsRank:
                 if b >= 3:
                     vecs[1] = 0
                     vecs[-1] = vecs[0]
-                rows = generic._pair_product_rows(vecs, n, d, p)
+                rows = generic._pair_product_rows(vecs, n, d, p).arr
                 assert rows.shape == (b * (b + 1) // 2, dim_forms(n, 2 * d))
                 assert np.array_equal(rows % p, reference_pair_product_rows(vecs, n, d, p) % p)
 
@@ -325,21 +348,7 @@ class TestCompressedPairProducts:
     def test_ik_30_2_460_peaks_below_200_mb(self):
         # 15 products at 15 points; a 465 x 40920 table of values at the
         # lattice |y| = 4 once held 152 MB per prime and made it peak at 430 MB.
-        # The peak is VmHWM, not ru_maxrss: a process that subprocess starts
-        # by vfork keeps the peak of its parent's memory across exec.
-        code = (
-            "from soslen.cli import main\n"
-            "assert main(['ik', '30', '2', '460']) == 0\n"
-            "with open('/proc/self/status') as status:\n"
-            "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
-        )
-        env = dict(os.environ)
-        env.pop("PYLAB_CACHE", None)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.splitlines()[-1]) <= 200 * 1024  # kB
+        assert peak_kb(["ik", "30", "2", "460"]) <= 200 * 1024
 
     def test_witness_ranks_every_pair_product(self, monkeypatch):
         seen = []
@@ -359,6 +368,60 @@ class TestCompressedPairProducts:
                             for args, kw in seen)
         pairs = b * (b + 1) // 2
         assert shapes and set(shapes) == {(pairs, min(pairs, dim_forms(3, 8)))}
+
+
+class TestOneResidueMatrix:
+    """Each large rank holds one uint32 matrix, written by its producer and
+    eliminated in place: no second block the size of the matrix, which as
+    int64 or float64 would take twice its bytes."""
+
+    def test_typical_matrix_ranks_in_its_one_uint32_array(self):
+        # the 1540 x 1330 ideal matrix of typical 4 9's seven forms
+        n, d, r = 4, 9, 7
+        forms = np.random.default_rng(1).integers(0, P1, (r, dim_forms(n, d)))
+        product_index_table(n, d, d)  # cached: not part of the peak
+        tracemalloc.start()
+        try:
+            M = generic._ideal_matrix(forms, n, d, P1)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert rank_mod_p(M) == 1330
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, cols = M.shape
+        size = 4 * m * cols
+        # float64 scratch: L (m x _OUTER), X's limbs and a panel's products
+        # (a few _OUTER-row blocks) and a chunk's update (a few _CHUNK-row blocks)
+        scratch = 8 * (linalg._OUTER * (m + 4 * cols) + 8 * linalg._CHUNK * cols)
+        assert scratch < 2 * size
+        assert built <= 1.1 * size
+        assert peak <= size + scratch
+
+    def test_squares_are_written_into_the_matrix_that_is_ranked(self, monkeypatch):
+        # 60 vectors of N_{4,10} = 286: K = 1772 squares at m = N_{4,20} = 1771 points
+        vecs = np.random.default_rng(2).integers(0, P1, (60, dim_forms(4, 10)))
+        seen = []
+
+        def stub(M):
+            seen.append((tracemalloc.get_traced_memory()[1], M.arr.dtype, M.arr.nbytes))
+            return 10**9  # above the target: no fallback
+
+        monkeypatch.setattr(generic, "rank_mod_p", stub)
+        tracemalloc.start()
+        try:
+            generic.pair_products_rank(vecs, 4, 10, P1)
+        finally:
+            tracemalloc.stop()
+        [(peak, dtype, size)] = seen
+        assert dtype == np.uint32 and size == 4 * 1772 * 1771
+        assert peak <= 2 * size
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_typical_4_10_peaks_below_80_mb(self):
+        # its 2288 x 1771 ideal matrix peaked at 108 MB as int64 rows, a
+        # reduced int64 copy and a float64 copy
+        assert peak_kb(["typical", "4", "10"]) <= 80 * 1024
 
 
 class TestVanishingDimension:

@@ -92,7 +92,7 @@ class TestPrimeMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * rows.nbytes
-        assert M.arr.dtype == np.int64 and np.array_equal(M.arr, rows % P1)
+        assert M.arr.dtype == np.uint32 and np.array_equal(M.arr, rows % P1)
 
 
 class TestRankModP:
@@ -155,8 +155,8 @@ class TestKernelModP:
         m, n = rng.randrange(1, 7), rng.randrange(1, 9)
         rows = [[rng.randrange(P2) for _ in range(n)] for _ in range(m)]
         M = PrimeMatrix(rows, P2)
-        r = rank_mod_p(M)
         kern = kernel_basis_mod_p(M)
+        r = rank_mod_p(M)
         assert len(kern) == n - r
         for v in kern:
             vec = [int(x) for x in v]  # Python ints: no int64 overflow in the check
@@ -285,7 +285,6 @@ class TestKnownRank:
     def test_rank_pivots_and_kernel(self, instance):
         rows, p, k = instance
         M = PrimeMatrix(rows, p)
-        assert rank_mod_p(M) == k
         _, pivots = rref_mod_p(M)
         assert len(pivots) == k
         kern = kernel_basis_mod_p(M)
@@ -294,6 +293,7 @@ class TestKnownRank:
             vec = [int(x) for x in v]
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) % p == 0
+        assert rank_mod_p(M) == k
 
 
 def reference_eliminate(A, p, reduced):
@@ -342,9 +342,9 @@ def assert_matches_reference(A, p):
     """Rank, pivots, RREF bytes and kernel bytes equal the reference sweep's;
     returns the rank."""
     M = PrimeMatrix(A, p)
-    R0 = M.arr.copy()
+    R0 = M.arr.astype(np.int64)
     pivots0 = reference_eliminate(R0, p, reduced=True)
-    assert linalg._eliminate(M.arr.astype(np.float64), p) == pivots0
+    assert linalg._eliminate(M.arr.copy(), p) == pivots0
     R, pivots = rref_mod_p(M)
     assert pivots == pivots0
     assert R.dtype == np.int64 and R.tobytes() == R0.tobytes()
@@ -367,7 +367,7 @@ PANEL_EDGE_COLUMNS = (31, 32, 33, 63, 64, 65, 96, 97, 127, 128, 129, 255, 256, 2
 
 
 @st.composite
-def panel_instances(draw):
+def panel_instances(draw, primes=(101, P1, P2, INT64_EDGE_PRIME)):
     """(A, p, k): A = B.C mod p of rank exactly k with up to 300 columns.
 
     Built as in known_rank_instances, then one block of columns, as wide as
@@ -377,7 +377,7 @@ def panel_instances(draw):
     top, or every row twice, make the leading rows of a panel dependent, so
     its pivots need row swaps.
     """
-    p = draw(st.sampled_from((101, P1, P2, INT64_EDGE_PRIME)))
+    p = draw(st.sampled_from(primes))
     shape = draw(st.sampled_from(("tall", "wide", "zero", "equal_rows")))
     layout = draw(st.sampled_from(("plain", "zero_panel", "duplicated_block")))
     n = draw(st.one_of(st.sampled_from(PANEL_EDGE_COLUMNS), st.integers(1, 300)))
@@ -543,6 +543,38 @@ class TestBlockedAgainstReference:
         out = linalg.matmul_mod_p(np.zeros((3, 0), dtype=np.int64),
                                   np.zeros((0, 4), dtype=np.int64), 101)
         assert out.dtype == np.int64 and out.tolist() == [[0] * 4] * 3
+
+
+class TestUint32Storage:
+    """A PrimeMatrix holds one uint32 array that rank_mod_p eliminates in place."""
+
+    @given(panel_instances(primes=(2, 101, P1, P2, INT64_EDGE_PRIME)))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_equals_reference(self, instance):
+        A, p, k = instance
+        M = PrimeMatrix(A, p)
+        assert M.arr.dtype == np.uint32
+        assert rank_mod_p(M) == len(reference_eliminate(A % p, p, reduced=False)) == k
+
+    @pytest.mark.parametrize("p", (2, 101, P1, P2, INT64_EDGE_PRIME))
+    def test_centred_uint32_equals_int64(self, p):
+        h = (p - 1) // 2
+        values = np.array([[0, 1, h, h + 1, p - 1, 2147483640 % p]], dtype=np.int64)
+        expected = [[x - p if x > h else x for x in values[0].tolist()]]
+        for A in (values, values.astype(np.uint32)):
+            assert linalg._centred(A, p).tolist() == expected
+        # centred only after the conversion: in uint32 the residue wraps to 4294967289
+        assert linalg._centred(np.array([[2147483640]], dtype=np.uint32), P1).tolist() == [[-7]]
+
+    @pytest.mark.parametrize("use", (rank_mod_p, rref_mod_p, kernel_basis_mod_p))
+    def test_a_spent_matrix_raises(self, use):
+        # 40 columns: above one panel, where the elimination updates rows and
+        # not only permutes them, so a reused array would be wrong
+        M = PrimeMatrix(np.random.default_rng(4).integers(0, P1, (50, 40)), P1)
+        assert rank_mod_p(M) == 40
+        assert (M.shape, M.p) == ((50, 40), P1)  # still readable, as the benchmark reads them
+        with pytest.raises(AttributeError):
+            use(M)
 
 
 def _assert_inverts_pivot_block(P, p, pivots, swaps, Binv):
