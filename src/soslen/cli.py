@@ -505,6 +505,10 @@ def main(argv=None) -> int:
     # ternary certificates from d = 13 on hold integers of more than 4,300
     # digits, the default limit on int <-> str conversion since 3.10.7
     getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
+    # one BLAS thread unless the environment chose: the ranks multiply 64-row
+    # chunks, where a second thread doubled the CPU time but not the speed
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,16 +7,16 @@ rank.  So whenever a computed Hilbert-function value meets its proven
 lower bound, that single instance is an unconditional certificate; excess
 values only ever trigger resampling, never refutation.
 
-Every experiment ranks its integer instance at the first prime and
-reports that rank as soon as it meets the proven bound; only a rank short
-of the bound or above it (or an experiment with no bound) is ranked at the
-other primes too, and then they must agree.  Coordinates are sampled below
-the smaller prime so one integer point set serves every modulus.
+Every experiment ranks its integer instance at the first prime (after
+``SCREEN_PRIME`` when it has one) and reports the first rank that meets the
+proven bound; only a rank short of the bound or above it (or an experiment
+with no bound) is ranked at the other primes too, and then they must agree.
+Coordinates are sampled below the smaller prime so one integer point set
+serves every modulus.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import random
 from dataclasses import dataclass, replace
@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
 from .linalg import _CHUNK, PrimeMatrix, kernel_basis_mod_p, matmul_mod_p, rank_mod_p
-from .primes import DEFAULT_PRIMES, DEFAULT_SEED
+from .primes import DEFAULT_PRIMES, DEFAULT_SEED, SCREEN_PRIME
 from .ring import monomials, product_index_table
 
 __all__ = [
@@ -220,10 +220,15 @@ def _expected_square_rank(n: int, d: int, s: int) -> int | None:
     return None
 
 
-def _square_rank(points, n: int, d: int, p: int) -> int:
+def _square_rank(points, n: int, d: int, p: int) -> int | None:
     """Rank of the pairwise products of a vanishing-ideal basis, with the
-    proven bound as the target: a rank above it still shows."""
+    proven bound as the target: a rank above it still shows.  None if the
+    kernel mod p has more than N_d - s vectors, more than the rational
+    kernel reduced, whose rank bounds nothing (the gate rules that out at
+    the first prime)."""
     kern = kernel_basis_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p))
+    if len(kern) != dim_forms(n, d) - len(points):
+        return None
     seed = derive_seed(p, "compress", tuple(map(tuple, points)))
     return pair_products_rank(kern, n, d, p, _expected_square_rank(n, d, len(points)), seed)
 
@@ -257,16 +262,21 @@ def _check_ideal_guard(r: int, params: DegreeParams, allow_large: bool):
 def _experiment(sample, rank, what: str, **fields) -> DimensionReport:
     """Report, with ``fields``, the rank ``rank(instance, p)`` of the first
     instance ``sample(rnd)`` that is settled (GenericityError after
-    _SAMPLE_ROUNDS rounds).  A first-prime rank equal to the expected value
-    settles it alone: a rank mod p never exceeds the rational rank, which
-    never exceeds the proven bound, so other primes could only fall short.
-    Any other first-prime rank settles it only if every prime ranks alike.
-    Verified if it meets the expected value (or none is set),
+    _SAMPLE_ROUNDS rounds).  A rank equal to the expected value at
+    ``SCREEN_PRIME`` (tried first if every prime exceeds it) or at the first
+    prime settles it alone: a rank mod p never exceeds the rational rank,
+    which never exceeds the proven bound, so other primes could only fall
+    short.  Any other first-prime rank settles it only if every prime ranks
+    alike.  Verified if it meets the expected value (or none is set),
     InconclusiveHigh below it; above it a proven bound failed, so raise
     InternalCheckError with ``what`` formatted by the report."""
     first, *others = fields["primes"]
+    screen = fields["expected"] is not None and min(fields["primes"]) > SCREEN_PRIME
     for rnd in range(_SAMPLE_ROUNDS):
         instance = sample(rnd)
+        if screen and rank(instance, SCREEN_PRIME) == fields["expected"]:
+            ranks = {fields["expected"]}
+            break
         ranks = {rank(instance, first)}
         if ranks != {fields["expected"]}:
             ranks.update(rank(instance, p) for p in others)
@@ -517,6 +527,7 @@ def run_jobs(worker, kwargs_list, parallelism: int = 1):
     workers = min(parallelism, len(jobs))
     if workers <= 1:
         return [_call_with_kwargs(job) for job in jobs]
+    import concurrent.futures  # here: with logging, it costs a serial run ~8 ms
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_call_with_kwargs, jobs))

@@ -8,11 +8,11 @@ is a two-level blocked elimination of that array in place, so a rank
 holds one copy of its matrix: a per-column int64 sweep finds the pivots
 of each 32-column panel, mostly from its top rows, with the inverse of
 their pivot block, and the rest of the matrix is updated by exact float64
-matrix products (BLAS) on centred 16-bit limbs, as in ``matmul_mod_p``: at
-once inside the panel's 128-column block, and once per block right of it,
-a chunk of rows at a time.  The rank leaves its matrix spent.  The sweep
-is one Gauss-Jordan step per column; RREF and kernel run it on an int64
-copy of the whole matrix.
+matrix products (BLAS) on centred limbs (one below 2^23, two 16-bit ones
+above), as in ``matmul_mod_p``: at once inside the panel's 128-column
+block, and once per block right of it, a chunk of rows at a time.  The
+rank leaves its matrix spent.  The sweep is one Gauss-Jordan step per
+column; RREF and kernel run it on an int64 copy of the whole matrix.
 
 The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
@@ -103,10 +103,11 @@ _OUTER = 128
 # matrix in the same time within noise; 64 peaks lowest.
 _CHUNK = 64
 _LIMB = 65536.0  # 2^16
+_ONE_LIMB = 2**23  # primes below it need one limb (see _eliminate)
 
 
 def _sweep(A: np.ndarray, p: int, carry: int = 0):
-    """In-place Gauss-Jordan elimination of an int64 array over F_p,
+    """In-place Gauss-Jordan elimination of an int64 array of residues mod p,
     leaving A in reduced row echelon form.
 
     The pivot is the first nonzero entry of the column at or below the
@@ -116,31 +117,38 @@ def _sweep(A: np.ndarray, p: int, carry: int = 0):
     swept: pivot row r gets a unit entry in carry column r after its swap,
     which the steps then update like any other, so with B the first k rows
     of A as swapped, at the k pivot columns, their carry block ends as B^-1.
+    Entries are reduced every ``lag`` steps and at the end: k steps leave
+    them in (-k (p-1)^2, p), inside int64 for k <= lag; a step reduces the
+    pivot column and row that it reads.
     """
     m, n = A.shape
     n -= carry
+    lag = (2**63 - p) // (p - 1) ** 2
     pivots = []
     swaps = []
     r = 0
     for c in range(n):
+        np.remainder(A[:, c], p, out=A[:, c])
         nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + nz[0]
         if i != r:
-            A[[r, i]] = A[[i, r]]
+            A[r], A[i] = A[i], A[r].copy()
             swaps.append((r, i))
         if carry:
             A[r, n + r] = 1
-        inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = (A[r, c:] * inv) % p
+        A[r, c:] = A[r, c:] % p * pow(int(A[r, c]), -1, p) % p
         f = A[:, c].copy()
         f[r] = 0
-        A[:, c:] = (A[:, c:] - f[:, None] * A[r, c:]) % p
+        if r and r % lag == 0:  # r steps so far
+            np.remainder(A[:, c:], p, out=A[:, c:])
+        A[:, c:] -= f[:, None] * A[r, c:]
         pivots.append(c)
         r += 1
         if r == m:
             break
+    np.remainder(A, p, out=A)
     return pivots, swaps
 
 
@@ -155,15 +163,17 @@ def _panel_sweep(P: np.ndarray, p: int):
 def _centred(A: np.ndarray, p: int) -> np.ndarray:
     """Residues in [0, p) as a new float64 array of values in [-(p-1)/2, (p-1)/2]."""
     A = A.astype(np.float64)  # first: uint32 residues less p would wrap
-    return np.where(A > (p - 1) // 2, A - p, A)
+    return np.subtract(A, (A > (p - 1) // 2) * float(p), out=A)
 
 
-def _limbs(X: np.ndarray, p: int):
-    """Split residues into centred 16-bit limbs: X = hi * 2^16 + lo (mod p),
-    |hi| <= 2^14.5 + 1/2 and |lo| <= 2^15."""
+def _limbs(X: np.ndarray, p: int) -> list[np.ndarray]:
+    """Centred float64 limbs of residues: below 2^23 the residues, |x| < 2^22;
+    else X = hi * 2^16 + lo (mod p), |hi| <= 2^14.5 + 1/2 and |lo| <= 2^15."""
     Xc = _centred(X, p)
+    if p < _ONE_LIMB:
+        return [Xc]
     hi = np.round(Xc * (1 / _LIMB))
-    return hi, Xc - hi * _LIMB
+    return [hi, Xc - hi * _LIMB]
 
 
 def _reduce(x: np.ndarray, p: int) -> None:
@@ -181,20 +191,21 @@ def _reduce(x: np.ndarray, p: int) -> None:
     np.subtract(x, p, out=x, where=x >= p)
 
 
-def _limb_product(F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: int) -> np.ndarray:
-    """F . (hi * 2^16 + lo) modulo p, as a new float64 array of integers of
-    magnitude below 2^53, for F centred and an inner dimension at most
-    ``_OUTER`` (the exactness argument is in ``_eliminate``)."""
-    t = F @ hi
-    _reduce(t, p)
-    t *= _LIMB
-    t += F @ lo
+def _limb_product(F: np.ndarray, limbs: list[np.ndarray], p: int) -> np.ndarray:
+    """F . X modulo p, X given by its ``_limbs``, as a new float64 array of
+    integers of magnitude below 2^53, for F centred and an inner dimension
+    at most ``_OUTER`` (the exactness argument is in ``_eliminate``)."""
+    t = F @ limbs[0]
+    for limb in limbs[1:]:
+        _reduce(t, p)
+        t *= _LIMB
+        t += F @ limb
     return t
 
 
-def _sub_mul(T: np.ndarray, F: np.ndarray, hi: np.ndarray, lo: np.ndarray, p: int) -> None:
-    """T <- T - F . (hi * 2^16 + lo) mod p, in place; F centred, T in [0, p)."""
-    t = _limb_product(F, hi, lo, p)
+def _sub_mul(T: np.ndarray, F: np.ndarray, limbs: list[np.ndarray], p: int) -> None:
+    """T <- T - F . X mod p, in place, X given by its limbs; F centred, T in [0, p)."""
+    t = _limb_product(F, limbs, p)
     np.subtract(T, t, out=t)
     _reduce(t, p)
     T[...] = t
@@ -214,10 +225,10 @@ def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = 
         out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
     out[...] = 0
     for k in range(0, A.shape[1], _OUTER):
-        hi, lo = _limbs(B[k : k + _OUTER], p)
+        limbs = _limbs(B[k : k + _OUTER], p)
         for i in range(0, A.shape[0], _CHUNK):
             F = _centred(A[i : i + _CHUNK, k : k + _OUTER], p)
-            _sub_mul(out[i : i + _CHUNK], np.negative(F, out=F), hi, lo, p)
+            _sub_mul(out[i : i + _CHUNK], np.negative(F, out=F), limbs, p)
     return out
 
 
@@ -245,7 +256,7 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
 
     That update is applied at once only inside the panel's block of
     ``_OUTER`` columns.  Right of the block each panel records its centred F
-    in L and the limbs of its X in Xhi, Xlo; a panel's pivot rows take the
+    in L and the limbs of its X in Xs; a panel's pivot rows take the
     pending product L X before it forms its X, and the rows below the
     block's pivots take it when the block ends, ``_CHUNK`` rows at a time.
     Only those chunks, L and the X limbs are float64, so the scratch is
@@ -253,13 +264,14 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
 
     Exactness: residues are integers below p <= 3037000499 < 2^53, so
     float64 holds them exactly.  In each product F X, F is centred to
-    |f| <= (p-1)/2 < 2^30.5 and X is split into centred 16-bit limbs
-    (``_limbs``), so each term has |f * limb| <= 2^45.5, and with an inner
-    dimension at most ``_OUTER`` = 128 every partial sum of the two GEMMs
-    stays below 128 * 2^45.5 = 2^52.5, whatever order BLAS adds in; the
-    reduced high part times 2^16 adds below 2^47.5, and 2^47.5 + 2^52.5 <
-    2^53.  So ``_reduce`` is exact, and every rank is exact over F_p.  X
-    itself is ``matmul_mod_p`` of B^-1 and R, whose inner dimension is k.
+    |f| <= (p-1)/2 < 2^30.5.  Below 2^23 X is one centred limb too, each
+    term is below 2^44, and with an inner dimension at most ``_OUTER`` = 128
+    every partial sum stays below 2^51, whatever order BLAS adds in.  Above
+    it X is split into centred 16-bit limbs (|f * limb| <= 2^45.5), every
+    partial sum of the two GEMMs stays below 2^52.5, and the reduced high
+    part times 2^16 adds below 2^47.5 < 2^53 - 2^52.5.  So ``_reduce`` is
+    exact, and every rank is exact over F_p.  X itself is ``matmul_mod_p``
+    of B^-1 and R, whose inner dimension is k.
     """
     m, n = W.shape
     pivots = []
@@ -267,9 +279,8 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
     r = 0
     for b0 in range(0, n, _OUTER):
         b1 = min(b0 + _OUTER, n)
-        Xhi = np.empty((b1 - b0, n - b1))
-        Xlo = np.empty_like(Xhi)
-        K = 0  # filled columns of L and rows of Xhi, Xlo
+        Xs = [np.empty((b1 - b0, n - b1)) for _ in range(1 + (p >= _ONE_LIMB))]
+        K = 0  # filled columns of L and rows of the Xs
         for c0 in range(b0, b1, _PANEL):
             if r == m:
                 return pivots
@@ -279,29 +290,28 @@ def _eliminate(W: np.ndarray, p: int) -> list[int]:
                 local, swaps = _sweep(W[r:, c0:c1].astype(np.int64), p)
             k = len(local)
             for a, b in swaps:
-                W[[r + a, r + b], c0:] = W[[r + b, r + a], c0:]
-                L[[r + a, r + b], :K] = L[[r + b, r + a], :K]
+                for X in (W[r:, c0:], L[r:, :K]):
+                    X[a], X[b] = X[b], X[a].copy()
             cols = [c0 + c for c in local]
             pivots += cols
             if k and c1 < n and r + k < m:
                 if K and b1 < n:
-                    _sub_mul(W[r : r + k, b1:], L[r : r + k, :K], Xhi[:K], Xlo[:K], p)
+                    _sub_mul(W[r : r + k, b1:], L[r : r + k, :K], [x[:K] for x in Xs], p)
                 if len(Binv) < k:  # the fallback found pivots below the top rows
                     Binv = _panel_sweep(W[r : r + k, c0:c1], p)[2]
-                X = matmul_mod_p(Binv, W[r : r + k, c1:], p)  # B^-1 R
-                hi, lo = _limbs(X, p)
+                limbs = _limbs(matmul_mod_p(Binv, W[r : r + k, c1:], p), p)  # of B^-1 R
                 near = b1 - c1
-                Xhi[K : K + k], Xlo[K : K + k] = hi[:, near:], lo[:, near:]
+                for x, limb in zip(Xs, limbs):
+                    x[K : K + k] = limb[:, near:]
                 L[r + k :, K : K + k] = _centred(W[r + k :, cols], p)
-                for i in range(r + k, m, _CHUNK):
-                    j = min(i + _CHUNK, m)
-                    _sub_mul(W[i:j, c1:b1], L[i:j, K : K + k], hi[:, :near], lo[:, :near], p)
+                near_limbs, step = [x[:, :near] for x in limbs], _CHUNK * n // max(near, 1)
+                for i in range(r + k, m, step):  # as many cells a step as a far chunk
+                    _sub_mul(W[i : i + step, c1:b1], L[i : i + step, K : K + k], near_limbs, p)
                 K += k
             r += k
         if K and b1 < n:
             for i in range(r, m, _CHUNK):
-                j = min(i + _CHUNK, m)
-                _sub_mul(W[i:j, b1:], L[i:j, :K], Xhi[:K], Xlo[:K], p)
+                _sub_mul(W[i : i + _CHUNK, b1:], L[i : i + _CHUNK, :K], [x[:K] for x in Xs], p)
     return pivots
 
 

@@ -15,6 +15,10 @@ DEFAULT_PRIMES = (P1, P2)
 
 DEFAULT_SEED = 271828
 
+# Largest prime below 2^23, whose products need one float64 limb; ranked
+# first when every configured prime exceeds it.  No option sets it.
+SCREEN_PRIME = 8388593
+
 # Largest modulus whose squares fit in int64: isqrt(2^63 - 1).
 _INT64_SAFE_PRIME = 3037000499
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import mul
 
 from .bounds import dim_forms
 
@@ -69,11 +69,12 @@ def mono_unrank(n: int, e: int, index: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def product_index_table(n: int, e1: int, e2: int) -> tuple[tuple[int, ...], ...]:
-    """table[i][j] = index of (monomial i of degree e1) * (monomial j of degree e2)."""
-    index = _mono_index(n, e1 + e2)
-    return tuple(
-        tuple(index[tuple(map(add, u, v))] for v in monomials(n, e2)) for u in monomials(n, e1)
-    )
+    """table[i][j] = index of (monomial i of degree e1) * (monomial j of degree e2),
+    by keys: exponents read as base-(e1+e2+1) digits, so a product's key is a sum."""
+    w = [(e1 + e2 + 1) ** v for v in range(n)]
+    left, right, prod = ([sum(map(mul, m, w)) for m in monomials(n, e)] for e in (e1, e2, e1 + e2))
+    index = {key: i for i, key in enumerate(prod)}
+    return tuple(tuple(map(index.__getitem__, map(key.__add__, right))) for key in left)
 
 
 @dataclass(frozen=True)

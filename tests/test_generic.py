@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from soslen.generic import (
     typical_length,
 )
 from soslen.linalg import DEFAULT_PRIMES, P1, P2, PrimeMatrix, kernel_basis_mod_p, rank_mod_p
+from soslen.primes import SCREEN_PRIME as Q
 from soslen.primes import is_probable_prime
 from soslen.ring import monomials, product_index_table
 from soslen.witness import build_witness
@@ -595,7 +597,9 @@ def primes_ranked(monkeypatch):
 class TestVerdicts:
     """The verdict and resampling rules shared by the two-prime experiments.
 
-    dim_square_component(3, 3, 6) has the proven rank bound N_6 - 18 = 10."""
+    dim_square_component(3, 3, 6) has the proven rank bound N_6 - 18 = 10.
+    With both default primes above it, the screening prime Q is ranked
+    first."""
 
     def test_rank_below_expected_is_inconclusive(self):
         rep = generic_ideal_dim(3, 2, 1, seed=6, expected=100)
@@ -621,40 +625,46 @@ class TestVerdicts:
     def test_rank_meeting_the_bound_is_ranked_at_the_first_prime_only(self, primes_ranked):
         rep = dim_square_component(3, 3, 6, seed=8)
         assert (rep.computed, rep.expected, rep.status) == (10, 10, Status.VERIFIED)
-        assert primes_ranked == [P1] and rep.primes == DEFAULT_PRIMES
-        # the first configured prime is the one ranked; the report lists them all
+        assert primes_ranked == [Q] and rep.primes == DEFAULT_PRIMES
+        # the screening prime is the one ranked; the report lists the configured ones
         rep = dim_square_component(3, 3, 6, seed=8, primes=(P2, P1))
         assert rep.status is Status.VERIFIED and rep.primes == (P2, P1)
-        assert primes_ranked == [P1, P2]
+        assert primes_ranked == [Q, Q]
+        # with a configured prime below Q, the first configured prime is ranked
+        below = (8388587, 8388581)
+        rep = dim_square_component(3, 3, 6, seed=8, primes=below)
+        assert rep.status is Status.VERIFIED and rep.primes == below
+        assert primes_ranked == [Q, Q, below[0]]
         primes_ranked.clear()
         reports = [ik_verify(3, 2, s, seed=4) for s in range(3, 6)]
         assert [r.status for r in reports] == [Status.VERIFIED] * 3
         assert typical_length(3, 2, seed=10).r_found == 3
-        assert primes_ranked == [P1] * 4  # one rank per instance
+        assert primes_ranked == [Q] * 4  # one rank per instance
 
     def test_first_prime_short_of_the_bound_ranks_every_prime(self, monkeypatch, primes_ranked):
         monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: 9)
         rep = dim_square_component(3, 3, 6, seed=8)
         assert (rep.computed, rep.status) == (9, Status.INCONCLUSIVE_HIGH)
-        assert primes_ranked == [P1, P2]
+        assert primes_ranked == [Q, P1, P2]
 
     @pytest.mark.parametrize("first", [9, 11])
     def test_first_prime_off_the_bound_and_the_second_disagreeing_resamples(
             self, monkeypatch, primes_ranked, first):
-        monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: {P1: first, P2: 10}[p])
+        monkeypatch.setattr(generic, "_square_rank",
+                            lambda pts, n, d, p: {Q: first, P1: first, P2: 10}[p])
         with pytest.raises(GenericityError, match="prime disagreement"):
             dim_square_component(3, 3, 6, seed=8)
-        assert primes_ranked == [P1, P2] * generic._SAMPLE_ROUNDS
+        assert primes_ranked == [Q, P1, P2] * generic._SAMPLE_ROUNDS
 
     def test_first_prime_above_the_bound_needs_agreement_to_fail(self, monkeypatch,
                                                                  primes_ranked, capsys):
         monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: 11)
         with pytest.raises(InternalCheckError, match="rank 11 exceeds the structural bound 10"):
             dim_square_component(3, 3, 6, seed=8)
-        assert primes_ranked == [P1, P2]
+        assert primes_ranked == [Q, P1, P2]
         monkeypatch.delenv("PYLAB_CACHE", raising=False)
         assert main(["ik", "3", "3", "6"]) == 5
-        assert primes_ranked == [P1, P2] * 2
+        assert primes_ranked == [Q, P1, P2] * 2
         assert "internal check violated" in capsys.readouterr().err
 
     def test_no_expected_value_ranks_every_prime(self, primes_ranked):
@@ -664,17 +674,75 @@ class TestVerdicts:
 
     def test_second_prime_short_of_the_bound_is_never_asked(self, monkeypatch, primes_ranked):
         # the first prime meets the bound, so the second's shortfall, which
-        # would be a disagreement in every round, is never computed
+        # would be a disagreement in every round, is never computed; the
+        # screening prime falls short, so the report comes from the first
+        # prime: a build that took a screening rank below the bound fails here
         square_rank, rank = generic._square_rank, generic.rank_mod_p
         monkeypatch.setattr(generic, "_square_rank",
-                            lambda pts, n, d, p: square_rank(pts, n, d, p) - (p == P2))
+                            lambda pts, n, d, p: square_rank(pts, n, d, p) - (p in (Q, P2)))
         rep = ik_verify(3, 3, 6, seed=8)
         assert (rep.computed, rep.expected, rep.status) == (18, 18, Status.VERIFIED)
         assert rep.primes == DEFAULT_PRIMES
-        monkeypatch.setattr(generic, "rank_mod_p", lambda M: rank(M) - (M.p == P2))
+        monkeypatch.setattr(generic, "rank_mod_p", lambda M: rank(M) - (M.p in (Q, P2)))
         res = typical_length(3, 2, seed=10)
         assert (res.r_found, res.status.value) == (3, "Exact")
-        assert primes_ranked == [P1, P1]
+        assert primes_ranked == [Q, P1, Q, P1]
+
+
+class TestScreeningPrime:
+    """Experiments with a proven bound rank first at the screening prime Q
+    when every configured prime exceeds it; a Q-rank settles an instance
+    only when it equals the bound, and the report still lists the
+    configured primes."""
+
+    def test_screening_rank_below_the_bound_gives_way_to_the_first_prime(
+            self, monkeypatch, primes_ranked):
+        monkeypatch.setattr(generic, "_square_rank",
+                            lambda pts, n, d, p: {Q: 9, P1: 10, P2: 10}[p])
+        rep = dim_square_component(3, 3, 6, seed=8)
+        assert (rep.computed, rep.expected, rep.status) == (10, 10, Status.VERIFIED)
+        assert primes_ranked == [Q, P1] and rep.primes == DEFAULT_PRIMES
+
+    def test_screening_rank_above_the_bound_never_fails_alone(self, monkeypatch, primes_ranked):
+        monkeypatch.setattr(generic, "_square_rank",
+                            lambda pts, n, d, p: {Q: 11, P1: 10, P2: 10}[p])
+        rep = dim_square_component(3, 3, 6, seed=8)
+        assert (rep.computed, rep.status) == (10, Status.VERIFIED)
+        assert primes_ranked == [Q, P1]
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        assert main(["ik", "3", "3", "6"]) == 0
+
+    def test_points_congruent_mod_the_screening_prime_are_not_screened(
+            self, monkeypatch, primes_ranked):
+        # the second point is the first plus Q e1: generic at P1, but mod Q
+        # only five points, whose kernel has one vector more.  Its rank, 13,
+        # bounds nothing: with the bound patched to 13 it would be taken
+        # as a certificate, while the rank of the six points is 10.
+        pts = list(generic._sample_instance(3, 3, 6, 8, DEFAULT_PRIMES))
+        pts[1] = (pts[0][0] + Q,) + pts[0][1:]
+        assert generic._square_rank(pts, 3, 3, Q) is None
+        assert generic._square_rank(pts, 3, 3, P1) == 10
+        monkeypatch.setattr(generic, "_sample_instance", lambda *args: tuple(pts))
+        rep = dim_square_component(3, 3, 6, seed=8)
+        assert (rep.computed, rep.status) == (10, Status.VERIFIED)
+        assert primes_ranked == [Q, P1]
+        primes_ranked.clear()
+        monkeypatch.setattr(generic, "ik_expected", lambda n, d, s: 15)  # bound 28 - 15
+        rep = dim_square_component(3, 3, 6, seed=8)
+        assert (rep.computed, rep.expected, rep.status) == (10, 13, Status.INCONCLUSIVE_HIGH)
+        assert primes_ranked == [Q, P1, P2]
+
+    @pytest.mark.parametrize("argv", [
+        ["ik", "--sweep", "3", "4", "--prime", "7", "--prime2", "101"],
+        ["ik", "--sweep", "3", "4", "--prime", "101", "--prime2", "103"],
+        ["typical", "3", "3", "--prime", "7", "--prime2", "101"],
+        ["typical", "3", "3", "--prime", P1, "--prime2", "101"],
+    ])
+    def test_a_configured_prime_below_it_turns_the_screen_off(self, argv, monkeypatch,
+                                                               primes_ranked, capsys):
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        main([str(a) for a in argv])
+        assert primes_ranked and Q not in primes_ranked
 
 
 class TestTypicalLength:
@@ -767,7 +835,7 @@ class TestWorkQueue:
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(generic.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
 
         def double(x):
             return 2 * x

@@ -67,6 +67,10 @@ def det_fraction_free(rows):
 
 # largest prime whose residues multiply without overflowing int64
 INT64_EDGE_PRIME = 3037000493
+# the screening prime, the largest below 2^23, whose products take one limb,
+# and the smallest prime above 2^23, whose products take two
+Q = 8388593
+ABOVE_ONE_LIMB = 8388617
 
 
 class TestPrimeConstants:
@@ -253,7 +257,7 @@ def known_rank_instances(draw):
     unit upper-triangular (k x k), so B has full column rank and C full row
     rank.  Rows and columns are then shuffled so pivots are not in place.
     """
-    p = draw(st.sampled_from((101, P1, INT64_EDGE_PRIME)))
+    p = draw(st.sampled_from((101, Q, ABOVE_ONE_LIMB, P1, INT64_EDGE_PRIME)))
     shape = draw(st.sampled_from(("tall", "wide", "zero", "equal_rows")))
     rng = draw(st.randoms(use_true_random=False))
     if shape == "tall":
@@ -281,7 +285,7 @@ class TestKnownRank:
     """Reference properties of the elimination kernel on A = B.C of rank k."""
 
     @given(known_rank_instances())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     def test_rank_pivots_and_kernel(self, instance):
         rows, p, k = instance
         M = PrimeMatrix(rows, p)
@@ -367,7 +371,7 @@ PANEL_EDGE_COLUMNS = (31, 32, 33, 63, 64, 65, 96, 97, 127, 128, 129, 255, 256, 2
 
 
 @st.composite
-def panel_instances(draw, primes=(101, P1, P2, INT64_EDGE_PRIME)):
+def panel_instances(draw, primes=(101, Q, ABOVE_ONE_LIMB, P1, P2, INT64_EDGE_PRIME)):
     """(A, p, k): A = B.C mod p of rank exactly k with up to 300 columns.
 
     Built as in known_rank_instances, then one block of columns, as wide as
@@ -420,10 +424,9 @@ def panel_instances(draw, primes=(101, P1, P2, INT64_EDGE_PRIME)):
     return A, p, k
 
 
-def _assert_sub_mul_exact(inner):
-    """``_sub_mul`` over ``inner`` columns, with F and X near (p-1)/2 at the
-    largest prime, equals the Python-integer T - F.X mod p."""
-    p = INT64_EDGE_PRIME
+def _assert_sub_mul_exact(inner, p=INT64_EDGE_PRIME):
+    """``_sub_mul`` over ``inner`` columns, with F and X near (p-1)/2 (at the
+    largest prime by default), equals the Python-integer T - F.X mod p."""
     h = (p - 1) // 2
     rng = np.random.default_rng(3)
     F = rng.integers(h - 1000, h + 1, (5, inner), dtype=np.int64)
@@ -431,7 +434,7 @@ def _assert_sub_mul_exact(inner):
     X[:, :3] = p - X[:, :3]  # centred to -(p-1)/2 + ...: the other sign
     T = rng.integers(0, p, (5, 7), dtype=np.int64)
     out = T.astype(np.float64)
-    linalg._sub_mul(out, F.astype(np.float64), *linalg._limbs(X.astype(np.float64), p), p)
+    linalg._sub_mul(out, F.astype(np.float64), linalg._limbs(X.astype(np.float64), p), p)
     expected = [
         [(int(T[i, j]) - sum(int(F[i, t]) * int(X[t, j]) for t in range(inner))) % p
          for j in range(7)]
@@ -444,7 +447,7 @@ class TestBlockedAgainstReference:
     """The blocked kernel against the per-column sweep, across panel edges."""
 
     @given(panel_instances())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_known_rank_matches_reference(self, instance):
         A, p, k = instance
         assert assert_matches_reference(A, p) == k
@@ -539,6 +542,23 @@ class TestBlockedAgainstReference:
             out = linalg.matmul_mod_p(left, right, p)
             assert out.dtype == np.int64 and out.tolist() == expected
 
+    @pytest.mark.parametrize("p, limbs", ((Q, 1), (ABOVE_ONE_LIMB, 2)))
+    def test_one_limb_below_2_23_and_two_above(self, p, limbs):
+        # F and X near (p-1)/2 with one sign: below 2^23 the one product of
+        # an inner dimension of _OUTER is the widest the bound 2^51 allows
+        assert len(linalg._limbs(np.array([[1, p - 1]], dtype=np.uint32), p)) == limbs
+        _assert_sub_mul_exact(linalg._OUTER, p)
+        h = (p - 1) // 2
+        rng = np.random.default_rng(p)
+        for inner in (1, 127, 128, 129, 300):
+            A = rng.integers(h - 1000, h + 1, (70, inner), dtype=np.int64)
+            B = rng.integers(h - 1000, h + 1, (inner, 9), dtype=np.int64)
+            A[40:] = p - A[40:]
+            B[:, :4] = p - B[:, :4]
+            expected = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B.T]
+                        for row in A]
+            assert linalg.matmul_mod_p(A.astype(np.uint32), B, p).tolist() == expected
+
     def test_matmul_mod_p_empty_inner_dimension(self):
         out = linalg.matmul_mod_p(np.zeros((3, 0), dtype=np.int64),
                                   np.zeros((0, 4), dtype=np.int64), 101)
@@ -613,6 +633,59 @@ def _panels(p):
     narrow[:30] = 0
     for A in (full, swapped, staircase, deficient, short, narrow):
         yield A.astype(np.float64)
+
+
+def reference_sweep(A, p, carry=0):
+    """``_sweep`` as it was before its update was reduced lazily: the same
+    steps, with every entry reduced mod p after each one."""
+    m, n = A.shape
+    n -= carry
+    pivots, swaps = [], []
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + nz[0]
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+            swaps.append((r, i))
+        if carry:
+            A[r, n + r] = 1
+        inv = pow(int(A[r, c]), -1, p)
+        A[r, c:] = (A[r, c:] * inv) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        A[:, c:] = (A[:, c:] - f[:, None] * A[r, c:]) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, swaps
+
+
+class TestLazySweep:
+    """The per-column sweep reduces its update only as often as int64 needs
+    (every step at INT64_EDGE_PRIME, every second at P1, once at Q); its
+    RREF, pivots, swaps and carried inverse equal those of a sweep that
+    reduces at every step."""
+
+    @pytest.mark.parametrize("p", (7, 101, Q, P1, INT64_EDGE_PRIME))
+    def test_equals_the_sweep_reduced_at_every_step(self, p):
+        rng = np.random.default_rng(p % 997)
+        h = (p - 1) // 2
+        saturated = np.array([p - 1, h, h + 1], dtype=np.int64)[rng.integers(0, 3, (90, 70))]
+        saturated[60:] = saturated[:30]  # rank-deficient: its last rows clear to zero
+        tall = _mod_product(rng.integers(0, p, (200, 30)), rng.integers(0, p, (30, 45)), p)
+        tall[::4] = 0
+        cases = [P.astype(np.int64) for P in _panels(p)] + [saturated, tall]
+        for A in cases:
+            for carry in (0, A.shape[1]):
+                got = np.hstack([A, np.zeros((A.shape[0], carry), dtype=np.int64)])
+                want = got.copy()
+                assert linalg._sweep(got, p, carry) == reference_sweep(want, p, carry)
+                assert got.tobytes() == want.tobytes()
+        assert linalg._sweep(saturated.copy(), p)[0] != []
 
 
 class TestCarriedInverse:

@@ -83,6 +83,19 @@ class TestMonomialIndexing:
                     )
                     assert product_index_table(n, e1, e2) == oracle, (n, e1, e2)
 
+    def test_product_index_table_keys_match_exponent_sums(self):
+        # the table is built from integer keys; the definition it replaced
+        # looked up each exponent-vector sum, also for unequal degrees
+        for n in range(1, 6):
+            for e1 in range(7):
+                for e2 in range(7):
+                    sums = tuple(
+                        tuple(mono_rank(tuple(a + b for a, b in zip(u, v)))
+                              for v in monomials(n, e2))
+                        for u in monomials(n, e1)
+                    )
+                    assert product_index_table(n, e1, e2) == sums, (n, e1, e2)
+
     def test_rank_rejects_bad_input(self):
         with pytest.raises(ValueError):
             mono_rank((1, -1))

@@ -131,6 +131,29 @@ def test_ik_sweep_leaves_numpy_random_unloaded(tmp_path):
     assert "numpy" in new and [m for m in new if m.startswith("numpy.random")] == []
 
 
+@pytest.mark.parametrize("argv", [["typical", "3", "4"], ["ik", "--sweep", "3", "2"]])
+def test_serial_commands_leave_the_process_pool_unloaded(argv, tmp_path):
+    # concurrent.futures, and the logging it imports, load only for a pool
+    proc = python("-c", MODULES_PROBE, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    new = json.loads(proc.stderr.splitlines()[-1])["new"]
+    assert "numpy" in new and "concurrent.futures" not in new
+
+
+@pytest.mark.parametrize("preset, threads", [
+    ({}, "1"), ({"OMP_NUM_THREADS": "2"}, None), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+])
+def test_one_blas_thread_unless_the_environment_chose(preset, threads, tmp_path):
+    env = {k: v for k, v in _env().items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    probe = ("import os, sys\nfrom soslen.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    proc = subprocess.run([sys.executable, "-c", probe, "typical", "3", "3"], cwd=tmp_path,
+                          env={**env, **preset}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {threads}"
+
+
 def test_mix_and_gramcheck_skip_numpy(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["witness", "3", "3", "--out", "c.json"]) == 0
