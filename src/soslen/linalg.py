@@ -18,7 +18,8 @@ The rational kernel is multimodular: the integer rows are reduced
 modulo a fixed sequence of primes below 2^31, eliminated 16 primes at a
 time in one batched Gauss-Jordan sweep, and the kernel vectors scaled by
 the determinant of the pivot block, integers, are combined by CRT until an
-exact check pins the canonical basis.
+exact check, made after every stack, pins the canonical basis.  The
+witness's sum of squares reuses these primes, their reduction and CRT.
 """
 
 from __future__ import annotations
@@ -160,23 +161,23 @@ def _panel_sweep(P: np.ndarray, p: int):
     return pivots, swaps, A[: len(pivots), P.shape[1] :][:, : len(pivots)]
 
 
-def _centred(A: np.ndarray, p: int) -> np.ndarray:
+def _centred(A: np.ndarray, p) -> np.ndarray:
     """Residues in [0, p) as a new float64 array of values in [-(p-1)/2, (p-1)/2]."""
     A = A.astype(np.float64)  # first: uint32 residues less p would wrap
-    return np.subtract(A, (A > (p - 1) // 2) * float(p), out=A)
+    return np.subtract(A, (A > (p - 1) // 2) * np.float64(p), out=A)
 
 
-def _limbs(X: np.ndarray, p: int) -> list[np.ndarray]:
+def _limbs(X: np.ndarray, p) -> list[np.ndarray]:
     """Centred float64 limbs of residues: below 2^23 the residues, |x| < 2^22;
     else X = hi * 2^16 + lo (mod p), |hi| <= 2^14.5 + 1/2 and |lo| <= 2^15."""
     Xc = _centred(X, p)
-    if p < _ONE_LIMB:
+    if np.max(p) < _ONE_LIMB:
         return [Xc]
     hi = np.round(Xc * (1 / _LIMB))
     return [hi, Xc - hi * _LIMB]
 
 
-def _reduce(x: np.ndarray, p: int) -> None:
+def _reduce(x: np.ndarray, p) -> None:
     """x mod p into [0, p), in place, for integral float64 entries |x| < 2^53.
 
     The quotient from the rounded reciprocal is off by at most one, so one
@@ -191,7 +192,7 @@ def _reduce(x: np.ndarray, p: int) -> None:
     np.subtract(x, p, out=x, where=x >= p)
 
 
-def _limb_product(F: np.ndarray, limbs: list[np.ndarray], p: int) -> np.ndarray:
+def _limb_product(F: np.ndarray, limbs: list[np.ndarray], p) -> np.ndarray:
     """F . X modulo p, X given by its ``_limbs``, as a new float64 array of
     integers of magnitude below 2^53, for F centred and an inner dimension
     at most ``_OUTER`` (the exactness argument is in ``_eliminate``)."""
@@ -203,7 +204,7 @@ def _limb_product(F: np.ndarray, limbs: list[np.ndarray], p: int) -> np.ndarray:
     return t
 
 
-def _sub_mul(T: np.ndarray, F: np.ndarray, limbs: list[np.ndarray], p: int) -> None:
+def _sub_mul(T: np.ndarray, F: np.ndarray, limbs: list[np.ndarray], p) -> None:
     """T <- T - F . X mod p, in place, X given by its limbs; F centred, T in [0, p)."""
     t = _limb_product(F, limbs, p)
     np.subtract(T, t, out=t)
@@ -211,10 +212,12 @@ def _sub_mul(T: np.ndarray, F: np.ndarray, limbs: list[np.ndarray], p: int) -> N
     T[...] = t
 
 
-def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None):
+def matmul_mod_p(A: np.ndarray, B: np.ndarray, p, out: np.ndarray | None = None):
     """A . B mod p, exactly, for arrays of residues in [0, p) (integer or
     integral float64) and any inner dimension: written over ``out``, an
-    integer array, or else returned as a new int64 array.
+    integer array, or else returned as a new int64 array.  Stacks of
+    matrices multiply pairwise, each modulo its own prime: p is then an
+    int64 array that broadcasts against them, as in the helpers above.
 
     Each ``_OUTER`` columns of A and rows of B add their product to the
     result, reduced each time (``_sub_mul`` of the negated A), so every
@@ -222,13 +225,13 @@ def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = 
     which bounds the float64 scratch of a product with many rows.
     """
     if out is None:
-        out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+        out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
     out[...] = 0
-    for k in range(0, A.shape[1], _OUTER):
-        limbs = _limbs(B[k : k + _OUTER], p)
-        for i in range(0, A.shape[0], _CHUNK):
-            F = _centred(A[i : i + _CHUNK, k : k + _OUTER], p)
-            _sub_mul(out[i : i + _CHUNK], np.negative(F, out=F), limbs, p)
+    for k in range(0, A.shape[-1], _OUTER):
+        limbs = _limbs(B[..., k : k + _OUTER, :], p)
+        for i in range(0, A.shape[-2], _CHUNK):
+            F = _centred(A[..., i : i + _CHUNK, k : k + _OUTER], p)
+            _sub_mul(out[..., i : i + _CHUNK, :], np.negative(F, out=F), limbs, p)
     return out
 
 
@@ -385,24 +388,31 @@ def _residue_stacks(rows: list[list[int]]):
     primes, the stack being the integer matrix reduced modulo each prime as
     a (primes, rows, cols) int64 array.
 
-    Each |x| is split once into 16-bit limbs; a group is reduced as one
-    integer matrix product against the powers 2^(16k) mod p, exact while
-    there are fewer than 2^16 limbs (each term is below 2^16 * 2^31).
+    Each |x| is split once into 16-bit limbs; a group is reduced by float64
+    products of the limbs with the 16-bit halves of the powers 2^(16k) mod p
+    (built by doubling), exact below 2^21 limbs (each term is below 2^32).
     """
     m, n = len(rows), len(rows[0])
     flat = [x for row in rows for x in row]
-    width = 2 * max(1, -(-max(abs(x).bit_length() for x in flat) // 16))
+    K = max(1, -(-max(abs(x).bit_length() for x in flat) // 16))
     limbs = np.frombuffer(
-        b"".join(abs(x).to_bytes(width, "little") for x in flat), dtype="<u2"
-    ).reshape(len(flat), width // 2).astype(np.int64)
+        b"".join(abs(x).to_bytes(2 * K, "little") for x in flat), dtype="<u2"
+    ).reshape(len(flat), K).astype(np.float64)
     neg = np.array([x < 0 for x in flat])
     for block in itertools.count():
-        primes = _prime_block(block)
-        P = np.array(primes, dtype=np.int64)
-        radix = [[pow(65536, k, p) for p in primes] for k in range(width // 2)]
-        res = limbs @ np.array(radix, dtype=np.int64) % P
-        res[neg] = -res[neg] % P
-        yield P, np.ascontiguousarray(res.T).reshape(len(primes), m, n)
+        P = np.array(_prime_block(block), dtype=np.int64)
+        radix, step = np.ones((1, len(P)), dtype=np.int64), 65536 % P
+        while len(radix) < K:
+            radix = np.vstack([radix, radix * step % P])
+            step = step * step % P
+        hi, lo = (half.T @ limbs.T for half in np.divmod(radix[:K], 65536))
+        hi %= P[:, None]
+        hi *= 65536
+        hi += np.remainder(lo, P[:, None], out=lo)
+        res = np.remainder(hi, P[:, None], out=hi).astype(np.int64)
+        del hi, lo  # before the stack is used
+        res[:, neg] = -res[:, neg] % P[:, None]
+        yield P, res.reshape(len(P), m, n)
 
 
 def _rref_stack(A: np.ndarray, P: np.ndarray):
@@ -417,6 +427,9 @@ def _rref_stack(A: np.ndarray, P: np.ndarray):
     lexicographically smallest.  They all pivot on the same rows, so those
     rows, in the order chosen, restricted to the pivot columns, form one
     integer matrix B; ``dets`` holds det B modulo each prime kept.
+
+    The stack is reduced every second step, and a step reduces the column
+    and pivot row it reads: two updates stay above -2 (p-1)^2 > -2^63.
     """
     m, n = A.shape[1:]
     steps = []
@@ -426,6 +439,7 @@ def _rref_stack(A: np.ndarray, P: np.ndarray):
     for c in range(n):
         if r == m:
             break
+        np.remainder(A[:, :, c], P[:, None], out=A[:, :, c])
         nz = A[:, r:, c] != 0
         first = np.where(nz.any(axis=1), nz.argmax(axis=1), m)
         if first.min() == m:
@@ -437,36 +451,38 @@ def _rref_stack(A: np.ndarray, P: np.ndarray):
         if i != r:
             A[:, [r, i]] = A[:, [i, r]]
         dets = dets * A[:, r, c] % P
-        inv = np.array([pow(int(a), -1, int(p)) for a, p in zip(A[:, r, c], P)], dtype=np.int64)
-        A[:, r, c:] = A[:, r, c:] * inv[:, None] % P[:, None]
+        inv = np.array([pow(a, -1, p) for a, p in zip(A[:, r, c].tolist(), P.tolist())])
+        A[:, r, c:] = A[:, r, c:] % P[:, None] * inv[:, None] % P[:, None]
         f = A[:, :, c].copy()
         f[:, r] = 0
         t = np.multiply(f[:, :, None], A[:, r, None, c:], out=T[:, :, c:])
-        np.subtract(A[:, :, c:], t, out=t)
-        np.remainder(t, P[:, None, None], out=A[:, :, c:])
+        if r % 2:
+            np.subtract(A[:, :, c:], t, out=t)
+            np.remainder(t, P[:, None, None], out=A[:, :, c:])
+        else:
+            np.subtract(A[:, :, c:], t, out=A[:, :, c:])
         steps.append((c, i))
         r += 1
+    np.remainder(A, P[:, None, None], out=A)
     return A, P, steps, dets
 
 
 def _crt_extend(modulus: int, values: list[int], primes, X: np.ndarray):
     """Extend residues ``values`` mod ``modulus``, in place, by the rows of
-    X (one row of residues per prime) with the Chinese remainder theorem.
-
-    Returns the new modulus and whether every value kept its symmetric
-    residue, the representative of least absolute value.
-    """
+    X (one row of residues per prime) with the Chinese remainder theorem,
+    and return the new modulus."""
     primes = [int(p) for p in primes]
     Q = math.prod(primes)
     coeffs = [Q // p * pow(Q // p, -1, p) for p in primes]
     inv = pow(modulus, -1, Q)
-    same = True
-    for i, col in enumerate(X.T):
-        v = values[i]
-        t = (sum(map(operator.mul, col.tolist(), coeffs)) - v % Q) * inv % Q
-        same = same and t == (Q - 1 if 2 * v > modulus else 0)
-        values[i] = v + modulus * t
-    return modulus * Q, same
+    for i, (v, col) in enumerate(zip(values, X.T.tolist())):
+        values[i] = v + modulus * ((sum(map(operator.mul, col, coeffs)) - v % Q) * inv % Q)
+    return modulus * Q
+
+
+def _symmetric(values: list[int], modulus: int) -> list[int]:
+    """The representatives of least absolute value of residues mod ``modulus``."""
+    return [v - modulus if 2 * v > modulus else v for v in values]
 
 
 def _canonical(v: list[int]) -> list[int]:
@@ -491,14 +507,16 @@ def kernel_basis_rational(M: RationalMatrix) -> list[list[int]]:
     pivots, with B their pivot block, the vector of free column fc scaled
     by det B is an integer vector: det B at fc and, at the pivot columns,
     minors of the pivot rows, so all at most H, Hadamard's bound of the
-    rows.  Its residues are combined by CRT and read as symmetric residues
-    once the modulus exceeds 2 H or they repeat from one stack to the next
-    (no rational reconstruction is needed).  The loop stops when every
+    rows.  Its residues are combined by CRT and, after every stack, the
+    first included, read as symmetric residues (no rational reconstruction
+    is needed): they are the true integers once the modulus exceeds twice
+    the largest of them, at the latest 2 H.  The loop stops when every
     vector w, built on its free column and the earlier pivot columns only,
-    has w[fc] != 0 and M @ w == 0 exactly.  That pins the rational pivot
-    columns: each mod-p free column is then dependent on the columns
-    before it, and there are at least cols - rank of them.  So the basis
-    is the canonical one whatever primes were used.
+    has w[fc] != 0 and M @ w == 0 exactly.  That test alone pins the
+    rational pivot columns: each mod-p free column is then dependent on the
+    columns before it, and there are at least cols - rank of them.  So the
+    basis is the canonical one whatever primes were used and however few;
+    a candidate read too early fails the test, and the next stack extends it.
     """
     m, n = M.shape
     if m == 0 or n == 0:
@@ -528,11 +546,8 @@ def kernel_basis_rational(M: RationalMatrix) -> list[list[int]]:
         ii = [i for i, _ in entries]
         cc = [fc for _, fc in entries]
         scaled = dets[:, None] * (-R[:, ii, cc] % P[:, None]) % P[:, None]
-        fresh = modulus == 1
-        modulus, same = _crt_extend(modulus, values, P, np.hstack([scaled, dets[:, None]]))
-        if (fresh or not same) and modulus.bit_length() <= hbits + 1:
-            continue
-        *numerators, d = (v - modulus if 2 * v > modulus else v for v in values)
+        modulus = _crt_extend(modulus, values, P, np.hstack([scaled, dets[:, None]]))
+        *numerators, d = _symmetric(values, modulus)
         basis = []
         it = iter(numerators)
         for fc in free:

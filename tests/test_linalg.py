@@ -869,6 +869,35 @@ class TestRationalRank:
         assert rank_rational(RationalMatrix([[], []])) == 0
 
 
+def _count_rref_stacks(monkeypatch):
+    """Record each stack that the multimodular kernel eliminates."""
+    calls = []
+    real = linalg._rref_stack
+    monkeypatch.setattr(linalg, "_rref_stack", lambda A, P: calls.append(1) or real(A, P))
+    return calls
+
+
+class TestResidueStacks:
+    """``_residue_stacks`` against Python's ``x % p``."""
+
+    @pytest.mark.parametrize("large", [False, True])
+    def test_matches_python_remainder(self, large):
+        rng = random.Random(11)
+        values = [0, 1, -1] + [
+            sign * (2 ** (16 * k) + e) for k in range(1, 6) for e in (-1, 1) for sign in (1, -1)
+        ]
+        if large:  # 313 limbs: the radix table doubles nine times
+            values += [rng.choice([1, -1]) * rng.getrandbits(5000) for _ in range(7)]
+        else:
+            values = [x for x in values if abs(x) < 2**16]  # one limb
+        values += [0] * (-len(values) % 3)
+        rows = [values[i : i + 3] for i in range(0, len(values), 3)]
+        for block, (P, S) in zip(range(3), linalg._residue_stacks(rows)):
+            assert P.tolist() == list(linalg._prime_block(block))
+            assert S.shape == (len(P), len(rows), 3)
+            assert S.tolist() == [[[x % p for x in row] for row in rows] for p in P.tolist()]
+
+
 class TestMultimodularKernel:
     """The multimodular kernel returns the fraction-free oracle's basis."""
 
@@ -910,6 +939,27 @@ class TestMultimodularKernel:
         M = RationalMatrix([[6, 3, 2]])
         assert kernel_basis_rational(M) == reference_kernel_basis_rational(M) == [
             [1, -2, 0], [1, 0, -3]]
+
+    def test_small_kernel_returns_after_its_first_stack(self, monkeypatch):
+        # Hadamard's bound of the rows, about 2^603, exceeds the first stack's
+        # modulus, but the kernel vector [-1, 1] is read from it at once and
+        # passes the exact check there
+        calls = _count_rref_stacks(monkeypatch)
+        M = RationalMatrix([[1, 1], [2**600, 2**600]])
+        assert kernel_basis_rational(M) == reference_kernel_basis_rational(M) == [[1, -1]]
+        assert len(calls) == 1
+
+    def test_whole_first_stack_unlucky_is_refuted_by_the_exact_check(self, monkeypatch):
+        # the leading 2x2 minor is Q1, the product of the first stack's
+        # primes: every one of them pivots on [0, 2], and its candidate
+        # [-1, 1, 0] fails M @ w == 0 (the second row gives Q1); the second
+        # stack finds [0, 1], and its scaled vector [1, -1, Q1], larger
+        # than half its modulus, is exact from the third
+        Q1 = math.prod(linalg._prime_block(0))
+        calls = _count_rref_stacks(monkeypatch)
+        M = RationalMatrix([[1, 1, 0], [1, 1 + Q1, 1]])
+        assert kernel_basis_rational(M) == reference_kernel_basis_rational(M) == [[1, -1, Q1]]
+        assert len(calls) == 3
 
     def test_nonconvergence_is_an_internal_error(self, monkeypatch):
         # with every det B read as 0 the candidates vanish at their free

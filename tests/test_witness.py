@@ -1,5 +1,6 @@
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,46 @@ class TestIntegerGramKernel:
             rep, seed1 = mixed, seed2
 
 
+class TestResidueSumOfSquares:
+    """The sum of squares from residues modulo the kernel's primes and CRT,
+    against the pairwise reference loop, at the edges of its bound."""
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_coefficient_equal_to_the_bound(self, below, monkeypatch):
+        # one variable: the only coefficient is sum_k c_k^2, the bound B
+        # itself; 2 B just below the first stack's modulus Q1 needs that
+        # stack alone, just above it needs the second, and one stack less
+        # reads B mod Q1 as a negative number
+        Q1 = math.prod(linalg._prime_block(0))
+        c = math.isqrt(Q1 // 2) + (-1 if below else 1)
+        B = c**2 + 2
+        assert (2 * B < Q1) == below and B < Q1
+        stacks = []
+        real = linalg._crt_extend
+        monkeypatch.setattr(linalg, "_crt_extend", lambda *a: stacks.append(1) or real(*a))
+        assert _sum_of_squares_int([[c], [-1], [1]], 1, 3) == [B]
+        assert len(stacks) == (1 if below else 2)
+
+    def test_one_vector_of_large_entries(self):
+        rng = random.Random(3)
+        vector = [rng.choice([0, 1, -1]) * rng.getrandbits(5000) for _ in range(dim_forms(3, 3))]
+        got = _sum_of_squares_int([vector], 3, 3)
+        assert got == reference_sum_of_squares([vector], 3, 3)
+        assert all(type(c) is int for c in got)
+
+    def test_denominators_far_apart(self):
+        # D_1 = 21 and D_2 = 21 * (2^67 + 3): the weights L / D_k^2 differ by
+        # a factor above 2^128, and both are reduced modulo every prime
+        far = 21 * (2**67 + 3)
+        vectors = [
+            [Fraction(2, 3), Fraction(-5, 7), 0, Fraction(1, 21), 1, Fraction(-2**70, 3)],
+            [Fraction(1, far), Fraction(-3, far), Fraction(2**90, far), 0, Fraction(-1, 7), 5],
+        ]
+        got = _sum_of_squares_int(vectors, 3, 2)
+        assert got == reference_sum_of_squares(vectors, 3, 2)
+        assert any(type(c) is Fraction and c.denominator > 2**128 for c in got)
+
+
 class TestBuildWitness:
     def test_hilbert_case(self):
         cert = build_witness(3, 2, 3, seed=21)
@@ -192,6 +233,16 @@ class TestBuildWitness:
             build_witness(3, 3, 10, seed=1)  # s = N_d: empty kernel
         with pytest.raises(ValueError):
             build_witness(2, 3, seed=1)
+
+    def test_kernel_of_4_5_stops_at_its_first_exact_candidate(self, monkeypatch):
+        # one stack for the degree-4 gate and four for the degree-5 kernel,
+        # whose scaled vectors are exact, and pass the exact check, a stack
+        # before they could repeat
+        calls = []
+        real = linalg._rref_stack
+        monkeypatch.setattr(linalg, "_rref_stack", lambda A, P: calls.append(1) or real(A, P))
+        build_witness(4, 5)
+        assert len(calls) == 1 + 4
 
     def test_replay_is_deterministic(self):
         a = build_witness(3, 2, 3, seed=5)
