@@ -11,8 +11,8 @@ Every experiment ranks its integer instance at the first prime (after
 ``SCREEN_PRIME`` when it has one) and reports the first rank that meets the
 proven bound; only a rank short of the bound or above it (or an experiment
 with no bound) is ranked at the other primes too, and then they must agree.
-Coordinates are sampled below the smaller prime so one integer point set
-serves every modulus.
+Coordinates are sampled below the smaller prime so one point set serves
+every modulus, and gated at the prime ranked first, by its rank's RREF.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
-from .linalg import _CHUNK, PrimeMatrix, kernel_basis_mod_p, matmul_mod_p, rank_mod_p
+from .linalg import _CHUNK, PrimeMatrix, _kernel_from_rref, matmul_mod_p, rank_mod_p, rref_mod_p
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED, SCREEN_PRIME
 from .ring import monomials, product_index_table
 
@@ -133,28 +133,45 @@ def _eval_matrix_mod_p(points, n: int, e: int, p: int):
     return vals.T
 
 
+@lru_cache(maxsize=1)
+def _eval_rref(points: tuple, n: int, d: int, p: int):
+    """Read-only RREF mod p and pivots of the degree-d evaluation matrix of
+    the last instance, which the gate and the square rank share."""
+    R, pivots = rref_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p))
+    R.flags.writeable = False
+    return R, tuple(pivots)
+
+
 def _gate_ok(points, n: int, d: int, p: int) -> bool:
     """Genericity gate: maximal evaluation rank, and no forms of degree d-1
-    vanish on the whole set whenever the point count allows that check."""
+    vanish on the whole set whenever the point count allows that check.
+    E_d's first N_{d-1} columns are diag(x1) E_{d-1}: E_{d-1} is ranked
+    itself only if their pivots fall short and some x1 is 0 mod p."""
     s, N_prev = len(points), dim_forms(n, d - 1)
+    pivots = _eval_rref(tuple(map(tuple, points)), n, d, p)[1]
+    return len(pivots) == min(s, dim_forms(n, d)) and (
+        s < N_prev or sum(c < N_prev for c in pivots) == N_prev
+        or (any(pt[0] % p == 0 for pt in points)
+            and rank_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d - 1, p), p)) == N_prev))
 
-    def rank(e):
-        return rank_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, e, p), p))
 
-    return rank(d) == min(s, dim_forms(n, d)) and (s < N_prev or rank(d - 1) == N_prev)
+def _first_prime(primes, expected) -> int:
+    """The prime an experiment ranks first: ``SCREEN_PRIME`` if it has a
+    proven bound and every configured prime exceeds it, else the first."""
+    return SCREEN_PRIME if expected is not None and min(primes) > SCREEN_PRIME else primes[0]
 
 
 def _sample_instance(n, d, s, seed, primes):
-    """Integer point set passing the gate at the first prime, or
+    """Integer point set passing the gate at ``_first_prime``, or
     GenericityError.  Coordinates lie below the smallest prime, so the one
     set serves every modulus.  A gate passed mod p also passes over Q; an
     instance that is not generic at another prime shows up there as a
-    disagreement, and ``_experiment`` resamples it."""
-    bound = min(primes)
+    disagreement or a None rank, and ``_experiment`` resamples it."""
+    bound, p = min(primes), _first_prime(primes, _expected_square_rank(n, d, s))
     for rnd in range(_SAMPLE_ROUNDS):
         rng = random.Random(derive_seed(seed, "points", rnd))
         pts = _raw_points(n, s, 0, bound, rng)
-        if _gate_ok(pts, n, d, primes[0]):
+        if _gate_ok(pts, n, d, p):
             return tuple(pts)
     raise GenericityError(
         f"no generic sample of {s} points found in {_SAMPLE_ROUNDS} rounds at "
@@ -225,11 +242,12 @@ def _square_rank(points, n: int, d: int, p: int) -> int | None:
     proven bound as the target: a rank above it still shows.  None if the
     kernel mod p has more than N_d - s vectors, more than the rational
     kernel reduced, whose rank bounds nothing (the gate rules that out at
-    the first prime)."""
-    kern = kernel_basis_mod_p(PrimeMatrix(_eval_matrix_mod_p(points, n, d, p), p))
+    the prime ranked first, whose RREF the kernel is read from)."""
+    key = tuple(map(tuple, points))
+    kern = _kernel_from_rref(*_eval_rref(key, n, d, p), p)
     if len(kern) != dim_forms(n, d) - len(points):
         return None
-    seed = derive_seed(p, "compress", tuple(map(tuple, points)))
+    seed = derive_seed(p, "compress", key)
     return pair_products_rank(kern, n, d, p, _expected_square_rank(n, d, len(points)), seed)
 
 
@@ -263,24 +281,24 @@ def _experiment(sample, rank, what: str, **fields) -> DimensionReport:
     """Report, with ``fields``, the rank ``rank(instance, p)`` of the first
     instance ``sample(rnd)`` that is settled (GenericityError after
     _SAMPLE_ROUNDS rounds).  A rank equal to the expected value at
-    ``SCREEN_PRIME`` (tried first if every prime exceeds it) or at the first
-    prime settles it alone: a rank mod p never exceeds the rational rank,
-    which never exceeds the proven bound, so other primes could only fall
-    short.  Any other first-prime rank settles it only if every prime ranks
-    alike.  Verified if it meets the expected value (or none is set),
+    ``_first_prime`` or at the first prime settles it alone: a rank mod p
+    never exceeds the rational rank, which never exceeds the proven bound,
+    so other primes could only fall short.  Any other first-prime rank
+    settles it only if every prime ranks alike and none is None (no bound).
+    Verified if it meets the expected value (or none is set),
     InconclusiveHigh below it; above it a proven bound failed, so raise
     InternalCheckError with ``what`` formatted by the report."""
     first, *others = fields["primes"]
-    screen = fields["expected"] is not None and min(fields["primes"]) > SCREEN_PRIME
+    screen = _first_prime(fields["primes"], fields["expected"])
     for rnd in range(_SAMPLE_ROUNDS):
         instance = sample(rnd)
-        if screen and rank(instance, SCREEN_PRIME) == fields["expected"]:
+        if screen != first and rank(instance, screen) == fields["expected"]:
             ranks = {fields["expected"]}
             break
         ranks = {rank(instance, first)}
         if ranks != {fields["expected"]}:
             ranks.update(rank(instance, p) for p in others)
-        if len(ranks) == 1:
+        if len(ranks) == 1 and None not in ranks:
             break
     else:
         where = ", ".join(f"{k}={fields[k]}" for k in "ndsr" if fields[k] is not None)

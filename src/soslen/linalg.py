@@ -339,13 +339,15 @@ def rref_mod_p(M: PrimeMatrix):
 def kernel_basis_mod_p(M: PrimeMatrix) -> np.ndarray:
     """Basis of the right kernel over F_p: an int64 array of shape
     (cols - rank, cols), one row per basis vector."""
-    n = M.shape[1]
-    R, pivots = rref_mod_p(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((len(free), n), dtype=np.int64)
+    return _kernel_from_rref(*rref_mod_p(M), M.p)
+
+
+def _kernel_from_rref(R: np.ndarray, pivots, p: int) -> np.ndarray:
+    """``kernel_basis_mod_p`` from an RREF mod p and its pivot columns."""
+    free = sorted(set(range(R.shape[1])) - set(pivots))
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-R[: len(pivots), free]).T % M.p
+    basis[:, pivots] = (-R[: len(pivots), free]).T % p
     return basis
 
 

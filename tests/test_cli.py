@@ -303,6 +303,23 @@ def test_format_bytes(argv, code, digest, capsys, monkeypatch):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # a configured prime below the screening prime: the gate runs at 7, then at 101
+    ("ik --sweep 3 4 --prime 7 --prime2 101",
+     "d3d2fd4d9a7331fbcf583614fc28b2ab3d07e2680bd78bb2dfd570d424a21def"),
+    ("ik --sweep 4 6 --prime 101 --prime2 103",
+     "9180fb5bc26af99aac1fbc8520ee9ec19db6c6d3811238a09a89286610130e43"),
+    # default primes: gate and square rank at the screening prime
+    ("ik --sweep 5 4 --seed 31337",
+     "d4240fe2849616135041dc9d697edb66390ea4f95b456a354d0707ab9d7cab5f"),
+])
+def test_ik_sweep_bytes(argv, digest, capsys, monkeypatch):
+    """sha256 of the stdout of sweeps whose gate runs at different primes."""
+    monkeypatch.delenv("PYLAB_CACHE", raising=False)
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestWitnessFlow:
     def test_witness_mix_gramcheck(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -132,6 +133,98 @@ class TestSampling:
     def test_seed_derivation_is_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
         assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
+
+
+def reference_gate(points, n, d, p):
+    """The gate as two ranks: E_d at full rank and, when s >= N_{d-1}, E_{d-1} too."""
+    s, N_prev = len(points), dim_forms(n, d - 1)
+
+    def rank(e):
+        return rank_mod_p(PrimeMatrix(generic._eval_matrix_mod_p(points, n, e, p), p))
+
+    return rank(d) == min(s, dim_forms(n, d)) and (s < N_prev or rank(d - 1) == N_prev)
+
+
+@st.composite
+def gate_inputs(draw):
+    """(points, n, d, p): random points, some with x1 = 0 mod p, repeated
+    or congruent ones, or points on a line through the origin."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    p = draw(st.sampled_from((2, 7, 101, Q, P1)))
+    s = draw(st.integers(max(1, dim_forms(n, d - 1) - 2), dim_forms(n, d) + 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = draw(st.sampled_from((3, p, P2)))
+    pts = [[rng.randrange(-bound, bound) for _ in range(n)] for _ in range(s)]
+    kind = draw(st.sampled_from(("random", "x1 zero", "repeated", "collinear")))
+    if kind == "x1 zero":
+        for pt in rng.sample(pts, rng.randint(1, s)):
+            pt[0] = p * rng.randrange(-2, 3)
+    elif kind == "repeated" and s >= 2:
+        i, j = rng.sample(range(s), 2)
+        pts[j] = [x + p * rng.randrange(-1, 2) for x in pts[i]]
+    elif kind == "collinear":
+        a, b = ([rng.randrange(-bound, bound) for _ in range(n)] for _ in range(2))
+        pts = [[u * x + v * y for x, y in zip(a, b)]
+               for u, v in ((rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(s))]
+    return pts, n, d, p
+
+
+class TestGate:
+    """The gate reads both ranks from the RREF of E_d, whose first N_{d-1}
+    columns are diag(x1) E_{d-1}; it ranks E_{d-1} itself only when their
+    pivots fall short and some x1 is 0 mod p."""
+
+    @given(gate_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_rank_gate(self, case):
+        pts, n, d, p = case
+        assert generic._gate_ok(pts, n, d, p) == reference_gate(pts, n, d, p)
+
+    @pytest.mark.parametrize("pts, ok", [
+        # x1 = 0 at two of three points: E_1 = I has full rank, while the
+        # first three columns of E_2 hold one pivot
+        ([(0, 1, 0), (1, 0, 0), (0, 0, 1)], True),
+        # three points on the plane x3 = 0: E_2 has full rank 3 with pivots
+        # x1^2, x1x2, x2^2, two of them among the first three columns, and
+        # E_1 has rank 2
+        ([(1, 2, 0), (3, 1, 0), (2, 5, 0)], False),
+    ])
+    @pytest.mark.parametrize("p", (7, 101, Q, P1))
+    def test_pivots_below_n_prev_and_the_direct_rank(self, pts, ok, p):
+        assert reference_gate(pts, 3, 2, p) is ok
+        assert generic._gate_ok(pts, 3, 2, p) is ok
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        calls = []
+        for name in ("rref_mod_p", "rank_mod_p", "_gate_ok", "_square_rank"):
+            def recorded(*args, _name=name, _f=getattr(generic, name)):
+                p = args[0].p if _name.endswith("_mod_p") else args[3]
+                shape = args[0].shape if _name.endswith("_mod_p") else None
+                calls.append((_name, p, shape))
+                return _f(*args)
+
+            monkeypatch.setattr(generic, name, recorded)
+        generic._eval_rref.cache_clear()
+        return calls
+
+    def test_one_elimination_per_instance_at_the_screening_prime(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        rep = ik_verify(6, 3, 40)
+        assert rep.status is Status.VERIFIED and rep.primes == DEFAULT_PRIMES
+        assert calls[:3] == [("_gate_ok", Q, None), ("rref_mod_p", Q, (40, 56)),
+                             ("_square_rank", Q, None)]
+        # the rest is the pair-product rank: no evaluation matrix, no P1
+        assert [c for c in calls[3:] if c[0] != "rank_mod_p"] == []
+        assert all(p == Q and 40 not in shape for _, p, shape in calls[3:])
+
+    def test_configured_primes_below_q_share_one_rref_at_the_first(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        rep = ik_verify(6, 3, 40, primes=(101, 103))
+        assert rep.status is Status.VERIFIED
+        assert calls[:3] == [("_gate_ok", 101, None), ("rref_mod_p", 101, (40, 56)),
+                             ("_square_rank", 101, None)]
+        assert [c[0] for c in calls[3:]] == ["rank_mod_p"] * (len(calls) - 3)
 
 
 class TestEvalMatrix:
@@ -666,6 +759,23 @@ class TestVerdicts:
         assert main(["ik", "3", "3", "6"]) == 5
         assert primes_ranked == [Q, P1, P2] * 2
         assert "internal check violated" in capsys.readouterr().err
+
+    def test_a_none_rank_resamples(self, monkeypatch, primes_ranked):
+        # None (more kernel vectors than N_d - s) at every prime bounds
+        # nothing, so the instance is resampled rather than reported
+        instances = []
+
+        def none_first(pts, n, d, p):
+            instances.append(pts)
+            return None if pts == instances[0] else 10
+
+        monkeypatch.setattr(generic, "_square_rank", none_first)
+        rep = dim_square_component(3, 3, 6, seed=8)
+        assert (rep.computed, rep.status) == (10, Status.VERIFIED)
+        assert primes_ranked == [Q, P1, P2, Q]
+        monkeypatch.setattr(generic, "_square_rank", lambda pts, n, d, p: None)
+        with pytest.raises(GenericityError, match="prime disagreement"):
+            dim_square_component(3, 3, 6, seed=8)
 
     def test_no_expected_value_ranks_every_prime(self, primes_ranked):
         rep = generic_ideal_dim(3, 2, 1, seed=6)
