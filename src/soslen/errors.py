@@ -37,4 +37,5 @@ class InternalCheckError(SoslenError):
 
 
 class GuardError(SoslenError):
-    """A job exceeds the dense-matrix size guard and --allow-large was not set."""
+    """A job exceeds the dense-matrix size guard and --allow-large was not
+    set, or exceeds the fixed ceiling that --allow-large does not lift."""

@@ -52,6 +52,11 @@ __all__ = [
 ]
 
 MAX_DENSE_ENTRIES = 40_000_000
+# No job may hold more dense entries (16 GiB as uint32), nor a typical cap
+# of more bits, whatever allow_large says: about 100 times the guard, far
+# above every job the tests and benchmark run (``typical 6 6`` ranks about
+# 4 * 10^7 entries).
+_CEILING = 2**32
 _SAMPLE_ROUNDS = 5
 
 
@@ -252,6 +257,11 @@ def _square_rank(points, n: int, d: int, p: int) -> int | None:
 
 
 def _check_guard(entries: int, allow_large: bool, what: str):
+    if entries > _CEILING:
+        raise GuardError(
+            f"{what} needs a dense matrix with {entries} entries "
+            f"(> {_CEILING}), more than --allow-large admits"
+        )
     if entries > MAX_DENSE_ENTRIES and not allow_large:
         raise GuardError(
             f"{what} needs a dense matrix with {entries} entries "
@@ -503,6 +513,8 @@ def typical_length(
     if r_max is None or certified_lower <= r_max:
         # the first job's guard, before the cap, whose n bits a huge n cannot hold
         _check_ideal_guard(certified_lower, params, allow_large)
+    if n - 1 > _CEILING:  # the cap's bit length, checked before the cap is formed
+        raise GuardError(f"typical at n={n} needs a cap 2^(n-1) of more than {_CEILING} bits")
     cap = 2 ** (n - 1)
     limit = cap if r_max is None else min(r_max, cap)
     r_found = None

@@ -29,9 +29,10 @@ only at that boundary.  A representation keeps the Gram that its target
 check computed, so comparing two representations computes no other.
 
 A new certificate's witness coefficients come from residues instead
-(``_sum_of_squares_int``): the same collapse modulo the kernel's primes,
-combined by CRT up to a proven bound, with no products of basis entries
-thousands of bits long.  Representations stay exact and numpy-free:
+(``_sum_of_squares_int``): the same collapse of the canonical integer
+basis, so with no denominators, modulo the kernel's primes and combined
+by CRT up to a proven bound, with no products of basis entries thousands
+of bits long.  Representations stay exact and numpy-free:
 importing numpy costs more than their whole Gram at (4,5) (from residues,
 ``mix`` and ``gramcheck`` ran 1.20x and 1.33x slower on such a
 certificate), and their tensor and comparison need the Gram itself.
@@ -50,7 +51,6 @@ from pathlib import Path
 from . import generic, linalg
 from .bounds import DegreeParams, binomial, dim_forms, s_min
 from .errors import CertificationError, GenericityError
-from .fileio import canonical_json, write_atomic
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED
 from .ring import Form, _cleared, _eval_rows_int, product_index_table
 
@@ -66,9 +66,6 @@ __all__ = [
     "random_rational_orthogonal",
     "mix_representation",
     "random_mix",
-    "save_certificate",
-    "load_certificate",
-    "save_representation",
     "load_sos_file",
 ]
 
@@ -117,35 +114,29 @@ def _square_sum(gram: _IntGram, n: int, d: int) -> list:
     return [Fraction(x, gram.den) for x in out]
 
 
-def _sum_of_squares_int(vectors, n: int, d: int) -> list:
-    """Coefficients of the sum of squares of degree-d coefficient vectors:
-    ints for int vectors, exact for int or Fraction entries.
+def _sum_of_squares_int(vectors, n: int, d: int) -> list[int]:
+    """Coefficients of the sum of squares of integer degree-d coefficient
+    vectors u_k.
 
-    The numerators c of L * sum_k v_k^2 = sum_k w_k u_k^2 come modulo the
-    kernel's primes, a stack at a time: the Gram U^T diag(w) U mod p summed
-    whole onto the products of its two monomials (so each off-diagonal
-    entry counts twice), and |c| <= B = sum_k w_k (sum |u_k|)^2 is the
-    symmetric residue once the CRT modulus exceeds 2 B.
+    The coefficients c of sum_k u_k^2 come modulo the kernel's primes, a
+    stack at a time: the Gram U^T U mod p summed whole onto the products of
+    its two monomials (so each off-diagonal entry counts twice).  Each c
+    sums products u_k[i] u_k[j], so |c| <= B = sum_k (sum |u_k|)^2, and c is
+    the symmetric residue once the CRT modulus exceeds 2 B.
     """
     import numpy as np  # here, not at the top: representations must not load it
 
-    us, dens = _cleared(vectors)
-    den = math.lcm(*[D * D for D in dens])
-    weights = [den // (D * D) for D in dens]
-    bound = sum(w * sum(map(abs, u)) ** 2 for w, u in zip(weights, us))
+    bound = sum(sum(map(abs, u)) ** 2 for u in vectors)
     N2 = dim_forms(n, 2 * d)
     index = np.array(product_index_table(n, d, d)).ravel()
     modulus, values = 1, [0] * N2
-    for P, U in linalg._residue_stacks(us):
-        W = np.array([[w % int(p) for w in weights] for p in P])  # all 1 for int vectors
-        F = U.transpose(0, 2, 1) * W[:, None] % P[:, None, None]
-        G = linalg.matmul_mod_p(F, U, P[:, None, None])
+    for P, U in linalg._residue_stacks(vectors):
+        G = linalg.matmul_mod_p(U.transpose(0, 2, 1), U, P[:, None, None])
         sums = np.array([np.bincount(index, g.ravel(), N2) for g in G])  # < N_d p < 2^53
         modulus = linalg._crt_extend(modulus, values, P, sums.astype(np.int64) % P[:, None])
         if modulus > 2 * bound:
             break
-    out = linalg._symmetric(values, modulus)
-    return out if den == 1 else [Fraction(x, den) for x in out]
+    return linalg._symmetric(values, modulus)
 
 
 @dataclass(frozen=True)
@@ -423,14 +414,6 @@ def random_mix(rep: SosRepresentation, seed: int) -> SosRepresentation:
     return mix_representation(rep, random_rational_orthogonal(len(rep.summands), seed))
 
 
-def save_certificate(cert: LengthCertificate, path) -> None:
-    write_atomic(path, canonical_json(cert.to_dict()))
-
-
-def load_certificate(path) -> LengthCertificate:
-    return LengthCertificate.from_dict(json.loads(Path(path).read_text()))
-
-
 def representation_to_dict(rep: SosRepresentation) -> dict:
     return {
         "kind": "sos_representation",
@@ -446,10 +429,6 @@ def representation_from_dict(data: dict) -> SosRepresentation:
     summands = tuple(Form.from_coeffs(n, d, vec) for vec in data["summands"])
     target = Form.from_coeffs(n, 2 * d, data["target"])
     return SosRepresentation(summands=summands, target=target)
-
-
-def save_representation(rep: SosRepresentation, path) -> None:
-    write_atomic(path, canonical_json(representation_to_dict(rep)))
 
 
 def load_sos_file(path) -> SosRepresentation:

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 import soslen.cli as cli
 from soslen.cli import main, paper_table_text
-from soslen.fileio import write_atomic
+from soslen.fileio import canonical_json, write_atomic
 from soslen.linalg import RationalMatrix, kernel_basis_rational
-from soslen.witness import _eval_rows_int, _sum_of_squares_int, build_witness, save_certificate
+from soslen.witness import _eval_rows_int, _sum_of_squares_int, build_witness
 
 PAPER_ROWS = {
     "s_min(4,d):": [5, 12, 24, 41, 65, 97, 137],
@@ -441,7 +441,7 @@ class TestStandaloneVerifierIndependence:
 
     def test_runs_isolated_on_a_package_certificate(self, tmp_path):
         path = tmp_path / "c.json"
-        save_certificate(build_witness(3, 3), path)
+        write_atomic(path, canonical_json(build_witness(3, 3).to_dict()))
         # -I ignores PYTHONPATH and leaves the script's directory off sys.path
         proc = subprocess.run([sys.executable, "-I", str(VERIFIER), str(path)],
                               capture_output=True, text=True, cwd=tmp_path)
@@ -494,7 +494,7 @@ class TestStandaloneVerifierSoundness:
         paths = []
         for n, d in [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)]:
             paths.append(tmp_path / f"w{n}{d}.json")
-            save_certificate(build_witness(n, d), paths[-1])
+            write_atomic(paths[-1], canonical_json(build_witness(n, d).to_dict()))
         proc = run_verifier(*paths)
         assert proc.returncode == 0, proc.stdout
         assert proc.stdout.count("certificate valid") == len(paths)
@@ -871,8 +871,9 @@ def _limit_address_space():
 
 
 class TestHugeInputs:
-    """An n or d too large to work with is refused at once: exit 4 and one
-    stderr line, not an OverflowError, a 2^(n-1) cap or one job per s."""
+    """An n or d too large to work with is refused at once, with or without
+    --allow-large: exit 4 and one stderr line, not an OverflowError, a
+    2^(n-1) cap, s_min random points or one job per s."""
 
     @pytest.mark.parametrize("argv", [
         ["bounds", HUGE, HUGE],
@@ -880,6 +881,12 @@ class TestHugeInputs:
         ["witness", HUGE, HUGE],
         ["typical", HUGE, "3"],
         ["ik", "--sweep", "3", HUGE],
+        ["typical", HUGE, "3", "--allow-large"],
+        ["typical", "3", HUGE, "--allow-large"],
+        ["witness", "3", HUGE, "--allow-large"],
+        ["witness", HUGE, "3", "--allow-large"],
+        ["ik", "--sweep", "3", HUGE, "--allow-large"],
+        ["typical", HUGE, "3", "--r-max", "1"],  # no job to guard, only the cap
     ], ids=" ".join)
     def test_exits_4_with_one_line(self, argv, tmp_path):
         proc = run_cli(argv, tmp_path, timeout=20, preexec_fn=_limit_address_space)

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import soslen.cli as cli
-from soslen.witness import build_witness, save_certificate
+from soslen.fileio import canonical_json, write_atomic
+from soslen.witness import build_witness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -220,7 +221,7 @@ print("numpy loaded:", "numpy" in sys.modules)
 
 
 def test_library_load_mix_and_compare_skip_numpy(tmp_path):
-    save_certificate(build_witness(3, 3), tmp_path / "c.json")
+    write_atomic(tmp_path / "c.json", canonical_json(build_witness(3, 3).to_dict()))
     proc = python("-c", """
 import sys
 from soslen.witness import gram_equivalent, load_sos_file, random_mix

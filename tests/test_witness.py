@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -9,22 +10,22 @@ from hypothesis import strategies as st
 
 from soslen import cli, generic, linalg
 from soslen.bounds import binomial, dim_forms
+from soslen.fileio import canonical_json, write_atomic
 from soslen.linalg import RationalMatrix, rank_rational
 from soslen.ring import Form, monomials, multiply, product_index_table
 from soslen.witness import (
+    LengthCertificate,
     SosRepresentation,
     _sum_of_squares_int,
     basis_representation,
     build_witness,
     gram_equivalent,
     gram_tensor,
-    load_certificate,
     load_sos_file,
     mix_representation,
     random_mix,
     random_rational_orthogonal,
-    save_certificate,
-    save_representation,
+    representation_to_dict,
 )
 
 
@@ -101,12 +102,13 @@ _FRACTION = st.builds(Fraction, _INT, st.sampled_from([1, 2, 3, 4, 9, 35, 2**61 
 
 
 @st.composite
-def _vector_sets(draw):
-    """(n, d, vectors): all-int or mixed int/Fraction entries, with zero
-    vectors and coordinates that are zero in every vector."""
+def _vector_sets(draw, fractions=True):
+    """(n, d, vectors): all-int or, with ``fractions``, mixed int/Fraction
+    entries, with zero vectors and coordinates that are zero in every
+    vector."""
     n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     N = dim_forms(n, d)
-    entry = draw(st.sampled_from([_INT, _INT | _FRACTION]))
+    entry = draw(st.sampled_from([_INT, _INT | _FRACTION])) if fractions else _INT
     zero_cols = draw(st.sets(st.integers(0, N - 1), max_size=N))
     vectors = draw(st.lists(
         st.just([0] * N) | st.lists(entry, min_size=N, max_size=N), min_size=1, max_size=4))
@@ -114,16 +116,17 @@ def _vector_sets(draw):
 
 
 class TestIntegerGramKernel:
-    """The one integer Gram kernel against the pairwise reference loops."""
+    """The two sums of squares against the pairwise reference loops: from
+    residues for integer vectors, and the integer Gram, the one that takes
+    Fractions too."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_vector_sets())
+    @given(_vector_sets(fractions=False))
     def test_sum_of_squares_equals_reference(self, case):
         n, d, vectors = case
         got = _sum_of_squares_int(vectors, n, d)
         assert got == reference_sum_of_squares(vectors, n, d)
-        if all(type(c) is int for v in vectors for c in v):
-            assert all(type(c) is int for c in got)  # a certificate writes them as JSON ints
+        assert all(type(c) is int for c in got)  # a certificate writes them as JSON ints
 
     @settings(max_examples=150, deadline=None)
     @given(_vector_sets())
@@ -142,10 +145,24 @@ class TestIntegerGramKernel:
             matrix = random_rational_orthogonal(len(rep.summands), seed1)
             mixed = mix_representation(rep, matrix)
             assert mixed.summands == reference_mix(rep, matrix)
-            coeffs = [q.coeffs for q in mixed.summands]
-            assert _sum_of_squares_int(coeffs, 3, 3) == reference_sum_of_squares(coeffs, 3, 3)
             assert gram_tensor(mixed).matrix == reference_gram_matrix(mixed)
             rep, seed1 = mixed, seed2
+
+    def test_denominators_far_apart(self):
+        # D_1 = 21 and D_2 = 21 * (2^67 + 3): the Gram's weights L / D_k^2
+        # differ by a factor above 2^128
+        far = 21 * (2**67 + 3)
+        vectors = [
+            [Fraction(2, 3), Fraction(-5, 7), 0, Fraction(1, 21), 1, Fraction(-2**70, 3)],
+            [Fraction(1, far), Fraction(-3, far), Fraction(2**90, far), 0, Fraction(-1, 7), 5],
+        ]
+        forms = tuple(Form.from_coeffs(3, 2, v) for v in vectors)
+        target = reference_sum_of_squares(vectors, 3, 2)
+        assert any(type(c) is Fraction and c.denominator > 2**128 for c in target)
+        SosRepresentation(summands=forms, target=Form.from_coeffs(3, 4, target))
+        target[0] += Fraction(1, far * far)
+        with pytest.raises(ValueError, match="do not sum"):
+            SosRepresentation(summands=forms, target=Form.from_coeffs(3, 4, target))
 
 
 class TestResidueSumOfSquares:
@@ -174,18 +191,6 @@ class TestResidueSumOfSquares:
         got = _sum_of_squares_int([vector], 3, 3)
         assert got == reference_sum_of_squares([vector], 3, 3)
         assert all(type(c) is int for c in got)
-
-    def test_denominators_far_apart(self):
-        # D_1 = 21 and D_2 = 21 * (2^67 + 3): the weights L / D_k^2 differ by
-        # a factor above 2^128, and both are reduced modulo every prime
-        far = 21 * (2**67 + 3)
-        vectors = [
-            [Fraction(2, 3), Fraction(-5, 7), 0, Fraction(1, 21), 1, Fraction(-2**70, 3)],
-            [Fraction(1, far), Fraction(-3, far), Fraction(2**90, far), 0, Fraction(-1, 7), 5],
-        ]
-        got = _sum_of_squares_int(vectors, 3, 2)
-        assert got == reference_sum_of_squares(vectors, 3, 2)
-        assert any(type(c) is Fraction and c.denominator > 2**128 for c in got)
 
 
 class TestBuildWitness:
@@ -253,17 +258,15 @@ class TestBuildWitness:
 class TestDegreeBelowGate:
     """The degree-(d-1) gate: full rank of the evaluation matrix over the rationals."""
 
-    def test_gate_is_one_exact_rank_call_whatever_rank_mod_p_returns(
-        self, monkeypatch, tmp_path
-    ):
-        save_certificate(build_witness(3, 4, seed=21), tmp_path / "plain.json")
+    def test_gate_is_one_exact_rank_call_whatever_rank_mod_p_returns(self, monkeypatch):
+        plain = canonical_json(build_witness(3, 4, seed=21).to_dict())
         exact_calls = []
         real = linalg.rank_rational
         monkeypatch.setattr(linalg, "rank_mod_p", lambda M: 0)
         monkeypatch.setattr(linalg, "rank_rational", lambda M: exact_calls.append(M) or real(M))
-        save_certificate(build_witness(3, 4, seed=21), tmp_path / "patched.json")
+        patched = canonical_json(build_witness(3, 4, seed=21).to_dict())
         assert len(exact_calls) == 1
-        assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert patched == plain
 
     def test_points_on_a_conic_are_rejected(self, monkeypatch):
         # six points (a^2, ab, b^2) lie on the conic x1 x3 = x2^2, so a
@@ -324,8 +327,8 @@ class TestGramTensor:
         assert not gram_equivalent(rep3, rep4)
         assert gram_equivalent(rep4, rep4)
 
-        save_representation(rep1, tmp_path / "a.json")
-        save_representation(rep2, tmp_path / "b.json")
+        write_atomic(tmp_path / "a.json", canonical_json(representation_to_dict(rep1)))
+        write_atomic(tmp_path / "b.json", canonical_json(representation_to_dict(rep2)))
         assert cli.main(["gramcheck", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
         assert capsys.readouterr().out == "false\n"
 
@@ -362,17 +365,19 @@ class TestOrthogonalMixes:
 
 
 class TestSerialization:
+    """Files written and read as the CLI does."""
+
     def test_certificate_roundtrip(self, tmp_path):
         cert = build_witness(3, 2, 3, seed=17)
         path = tmp_path / "cert.json"
-        save_certificate(cert, path)
-        assert load_certificate(path) == cert
+        write_atomic(path, canonical_json(cert.to_dict()))
+        assert LengthCertificate.from_dict(json.loads(path.read_text())) == cert
 
     def test_representation_roundtrip(self, tmp_path):
         cert = build_witness(3, 2, 3, seed=17)
         mixed = random_mix(basis_representation(cert), seed=3)
         path = tmp_path / "rep.json"
-        save_representation(mixed, path)
+        write_atomic(path, canonical_json(representation_to_dict(mixed)))
         loaded = load_sos_file(path)
         assert loaded.target.coeffs == mixed.target.coeffs
         assert gram_equivalent(loaded, mixed)
@@ -380,7 +385,7 @@ class TestSerialization:
     def test_certificate_loads_as_representation(self, tmp_path):
         cert = build_witness(3, 2, 3, seed=17)
         path = tmp_path / "cert.json"
-        save_certificate(cert, path)
+        write_atomic(path, canonical_json(cert.to_dict()))
         rep = load_sos_file(path)
         assert len(rep.summands) == cert.length
 
@@ -392,11 +397,10 @@ class TestSerialization:
 
         monkeypatch.setattr(os, "replace", crash)
         path = tmp_path / "old.json"
-        for save, obj in ((save_certificate, cert),
-                          (save_representation, basis_representation(cert))):
+        for record in (cert.to_dict(), representation_to_dict(basis_representation(cert))):
             path.write_text("old\n")
             with pytest.raises(OSError):
-                save(obj, path)
+                write_atomic(path, canonical_json(record))
             assert path.read_text() == "old\n"
             assert list(tmp_path.iterdir()) == [path]
 
