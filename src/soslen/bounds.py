@@ -35,13 +35,25 @@ __all__ = [
 ]
 
 
+# No integer computed to be printed may have more bits: printing one in
+# decimal takes seconds at 2^21 bits and grows with the square of its length.
+MAX_BITS = 2**22
+
+
 def _comb(a: int, b: int, what: str) -> int:
-    """math.comb, with a ValueError naming ``what`` where min(b, a - b)
-    exceeds the 2^63 that math.comb can take."""
-    try:
-        return math.comb(a, b)
-    except OverflowError:
-        raise ValueError(f"{what} is too large to compute") from None
+    """math.comb, with a ValueError naming ``what`` where log2 C(a, b)
+    exceeds ``MAX_BITS``, checked before C(a, b) is computed."""
+    k = min(b, a - b)
+    if k > 0 and k * a.bit_length() > MAX_BITS:  # else C(a, b) < a^k fits
+        if k > MAX_BITS:  # C(a, k) >= (a/k)^k >= 2^k
+            bits = k
+        elif a < 2**40:  # lgamma's rounding stays far below one bit
+            bits = (math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)) / math.log(2)
+        else:  # sum log(a - i) over i < k is below k log a, by at most k^2/a
+            bits = (k * math.log(a) - math.lgamma(k + 1)) / math.log(2)
+        if bits > MAX_BITS:
+            raise ValueError(f"{what} has more than {MAX_BITS} bits, too large to compute")
+    return math.comb(a, b)
 
 
 def binomial(a: int, b: int) -> int:

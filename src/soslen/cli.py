@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, bounds, generic, ring, witness
 from .errors import CertificationError, GenericityError, GuardError, InternalCheckError
-from .fileio import canonical_json, write_atomic
+from .fileio import canonical_json, canonical_pieces, write_atomic
 from .primes import DEFAULT_SEED, P1, P2, _validate_modulus
 
 EXIT_OK = 0
@@ -340,7 +340,6 @@ def cmd_witness(cfg: RunConfig):
         _check_output_paths(cfg, out_path)
     cert = witness.build_witness(n, d, s, seed=cfg.seed, primes=cfg.primes,
                                  allow_large=cfg.allow_large)
-    content = canonical_json(cert.to_dict())
     primes = "|".join(str(p) for p in cert.primes)
     form = ring.Form.from_coeffs(n, 2 * d, cert.witness)
     summary = (
@@ -348,16 +347,15 @@ def cmd_witness(cfg: RunConfig):
         f"injectivity_rank={cert.injectivity_rank} primes={primes} -> {out_path}\n"
         f"witness form: {ring.form_to_text(form)}\n"
     )
-    return summary, EXIT_OK, {out_path: content}
+    return summary, EXIT_OK, {out_path: cert.to_dict()}
 
 
 def cmd_mix(cfg: RunConfig):
     out = cfg.params["out"]
     rep = witness.load_sos_file(cfg.params["infile"])
     mixed = witness.random_mix(rep, cfg.seed)
-    content = canonical_json(witness.representation_to_dict(mixed))
     summary = f"mix {cfg.params['infile']} -> {out} ({len(mixed.summands)} summands)\n"
-    return summary, EXIT_OK, {out: content}
+    return summary, EXIT_OK, {out: witness.representation_to_dict(mixed)}
 
 
 def cmd_gramcheck(cfg: RunConfig):
@@ -519,11 +517,13 @@ def main(argv=None) -> int:
             key = cfg.cache_key()
             rec = _cache_lookup(cfg.cache, key)
         fresh = rec is None
-        if fresh:
+        if fresh:  # files come as JSON objects, written piece by piece
             output, code, files = _execute(cfg)
+            if cfg.cache:  # the record holds each file's text
+                files = {path: canonical_json(obj) for path, obj in files.items()}
             rec = {"output": output, "exit_code": code, "files": files}
         for path, content in rec.get("files", {}).items():
-            write_atomic(path, content)
+            write_atomic(path, content if isinstance(content, str) else canonical_pieces(content))
         if fresh and cfg.cache:
             _cache_store(cfg.cache, {"key": key, **rec})
         sys.stdout.write(rec["output"])

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import DegreeParams, binomial, dim_forms, lambda_lower
+from .bounds import MAX_BITS, DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
 from .linalg import _CHUNK, PrimeMatrix, _kernel_from_rref, matmul_mod_p, rank_mod_p, rref_mod_p
 from .primes import DEFAULT_PRIMES, DEFAULT_SEED, SCREEN_PRIME
@@ -52,10 +52,9 @@ __all__ = [
 ]
 
 MAX_DENSE_ENTRIES = 40_000_000
-# No job may hold more dense entries (16 GiB as uint32), nor a typical cap
-# of more bits, whatever allow_large says: about 100 times the guard, far
-# above every job the tests and benchmark run (``typical 6 6`` ranks about
-# 4 * 10^7 entries).
+# No job may hold more dense entries (16 GiB as uint32), whatever
+# allow_large says: about 100 times the guard, far above every job the tests
+# and benchmark run (``typical 6 6`` ranks about 4 * 10^7 entries).
 _CEILING = 2**32
 _SAMPLE_ROUNDS = 5
 
@@ -513,9 +512,9 @@ def typical_length(
     if r_max is None or certified_lower <= r_max:
         # the first job's guard, before the cap, whose n bits a huge n cannot hold
         _check_ideal_guard(certified_lower, params, allow_large)
-    if n - 1 > _CEILING:  # the cap's bit length, checked before the cap is formed
-        raise GuardError(f"typical at n={n} needs a cap 2^(n-1) of more than {_CEILING} bits")
-    cap = 2 ** (n - 1)
+    if n - 1 > MAX_BITS:  # the cap's bit length, checked before the cap is formed
+        raise GuardError(f"typical at n={n} needs a cap 2^(n-1) of more than {MAX_BITS} bits")
+    cap = 1 << (n - 1)
     limit = cap if r_max is None else min(r_max, cap)
     r_found = None
     for r in range(certified_lower, limit + 1):

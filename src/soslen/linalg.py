@@ -370,6 +370,8 @@ class RationalMatrix:
 # Primes per elimination stack of the multimodular kernel; it bounds the
 # (primes, rows, cols) int64 stack and so the kernel's memory.
 _STACK = 16
+# float64 cells of one product chunk of ``_residue_stacks``
+_CELLS = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -390,30 +392,35 @@ def _residue_stacks(rows: list[list[int]]):
     primes, the stack being the integer matrix reduced modulo each prime as
     a (primes, rows, cols) int64 array.
 
-    Each |x| is split once into 16-bit limbs; a group is reduced by float64
-    products of the limbs with the 16-bit halves of the powers 2^(16k) mod p
-    (built by doubling), exact below 2^21 limbs (each term is below 2^32).
+    Each |x| is split once into 16-bit limbs, kept as uint16; a group is
+    reduced by float64 products of the limbs (negated for x < 0), ``_CELLS``
+    at a time, with the 16-bit halves of the powers 2^(16k) mod p (built by
+    doubling), exact below 2^21 limbs (each term is below 2^32).
     """
     m, n = len(rows), len(rows[0])
     flat = [x for row in rows for x in row]
     K = max(1, -(-max(abs(x).bit_length() for x in flat) // 16))
     limbs = np.frombuffer(
         b"".join(abs(x).to_bytes(2 * K, "little") for x in flat), dtype="<u2"
-    ).reshape(len(flat), K).astype(np.float64)
-    neg = np.array([x < 0 for x in flat])
+    ).reshape(len(flat), K)
+    neg = np.array([x < 0 for x in flat])[:, None]
+    chunk = max(1, _CELLS // max(K, _STACK))  # values per product
     for block in itertools.count():
         P = np.array(_prime_block(block), dtype=np.int64)
         radix, step = np.ones((1, len(P)), dtype=np.int64), 65536 % P
         while len(radix) < K:
             radix = np.vstack([radix, radix * step % P])
             step = step * step % P
-        hi, lo = (half.T @ limbs.T for half in np.divmod(radix[:K], 65536))
-        hi %= P[:, None]
-        hi *= 65536
-        hi += np.remainder(lo, P[:, None], out=lo)
-        res = np.remainder(hi, P[:, None], out=hi).astype(np.int64)
-        del hi, lo  # before the stack is used
-        res[:, neg] = -res[:, neg] % P[:, None]
+        hi_radix, lo_radix = (half.T.astype(np.float64) for half in np.divmod(radix[:K], 65536))
+        res = np.empty((len(P), len(flat)), dtype=np.int64)
+        for j in range(0, len(flat), chunk):
+            L = limbs[j : j + chunk].astype(np.float64)
+            np.negative(L, out=L, where=neg[j : j + chunk])
+            hi, lo = hi_radix @ L.T, lo_radix @ L.T
+            hi %= P[:, None]
+            hi *= 65536
+            hi += np.remainder(lo, P[:, None], out=lo)
+            res[:, j : j + chunk] = np.remainder(hi, P[:, None], out=hi)
         yield P, res.reshape(len(P), m, n)
 
 

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soslen import bounds
 from soslen.bounds import (
     BoundsRow,
     DegreeParams,
@@ -74,6 +76,30 @@ class TestBinomialAndDims:
         assert dim_forms(3, 3) == 10
         assert dim_forms(3, 6) == 28
         assert dim_forms(4, 2) == 10
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_refused_where_the_binomial_exceeds_the_bit_bound(self, data):
+        # a smaller bound, so that the binomials near it are quick to compute
+        a = data.draw(st.one_of(st.integers(0, 20_000), st.integers(2**39, 2**41),
+                                st.integers(0, 2**70)), label="a")
+        b = data.draw(st.integers(0, min(a, 6_000)) | st.integers(max(0, a - 6_000), a), label="b")
+        exact = math.comb(a, b).bit_length()  # log2 C(a, b) lies in (exact - 1, exact]
+        with mock.patch.object(bounds, "MAX_BITS", 4096):
+            try:
+                got = binomial(a, b)
+            except ValueError as exc:
+                assert "more than 4096 bits" in str(exc)
+                assert exact > 4096 - 1
+            else:
+                assert got == math.comb(a, b) and exact <= 4096 + 2
+
+    def test_bit_bound_refuses_before_computing(self):
+        # tests/test_cli.py::TestHugeInputs runs the dim_forms(10**9, 10**9)
+        # of `bounds 1000000000 1000000000` in a process of its own
+        with pytest.raises(ValueError, match="more than 4194304 bits"):
+            binomial(10**400, 10**399)  # math.comb cannot take it at all
+        assert dim_forms(3, 10**20) == math.comb(10**20 + 2, 2)
 
     @given(st.integers(1, 8), st.integers(0, 12))
     def test_dim_forms_counts_monomials(self, n, e):

@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import soslen.cli as cli
+from soslen import fileio
 from soslen.cli import main, paper_table_text
-from soslen.fileio import canonical_json, write_atomic
+from soslen.fileio import canonical_json, canonical_pieces, write_atomic
 from soslen.linalg import RationalMatrix, kernel_basis_rational
 from soslen.witness import _eval_rows_int, _sum_of_squares_int, build_witness
 
@@ -817,6 +818,116 @@ class TestAtomicWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "w.json"]
         capsys.readouterr()
 
+    def test_pieces_write_the_text_at_every_target(self, tmp_path):
+        getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
+        # pieces longer than one slice, with characters of 1 to 4 bytes in UTF-8
+        raw = "aé€😀" * fileio._SLICE
+        obj = {"long": raw, "rows": [[-(10**5000), 0], []]}
+        text = canonical_json(obj)
+        path = tmp_path / "c.json"
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        for expected, content in ((text, lambda: text), (text, lambda: canonical_pieces(obj)),
+                                  (raw, lambda: [raw[:7], "", raw[7:]])):
+            write_atomic(path, content())
+            assert path.read_text() == expected
+            got = []
+            reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+            reader.start()
+            write_atomic(pipe, content())
+            reader.join(10)
+            assert got == [expected]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "pipe"]
+        code = ("import sys; from soslen.fileio import canonical_pieces, write_atomic; "
+                "getattr(sys, 'set_int_max_str_digits', lambda maxdigits: None)(0); "
+                "write_atomic(sys.argv[1], canonical_pieces([-(10**5000), 'é' * 70000]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        with open(path, "wb") as fh:  # stdout's own file is written through sys.stdout
+            proc = subprocess.run([sys.executable, "-c", code, str(path)], stdout=fh, env=env)
+        assert proc.returncode == 0
+        assert path.read_text() == canonical_json([-(10**5000), "é" * 70000])
+
+
+def _json_values():
+    """JSON values: nested dicts and lists, empty ones among them, ints of
+    more than 4,300 digits (the default str conversion limit), unicode
+    strings, bools and None."""
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.integers(-(10**4400), -(10**4301)) | st.text())
+    return st.recursive(scalars, lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                        max_leaves=20)
+
+
+class TestCanonicalPieces:
+    @given(_json_values())
+    @settings(max_examples=200, deadline=None)
+    def test_join_equals_json_dumps(self, obj):
+        getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
+        expected = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        pieces = list(canonical_pieces(obj))
+        assert "".join(pieces) == canonical_json(obj) == expected
+        # no piece is longer than one scalar's text and its separators
+        longest = max((len(json.dumps(x)) for x in _scalars(obj)), default=0)
+        assert max(map(len, pieces)) <= longest + 2
+
+
+def _scalars(obj):
+    """The scalars and dict keys of a JSON value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _scalars(value)
+    elif isinstance(obj, list):
+        for x in obj:
+            yield from _scalars(x)
+    else:
+        yield obj
+
+
+class TestCertificateBytes:
+    """sha256 of what ``witness``, ``mix`` and ``gramcheck`` print and write,
+    recorded before certificates were written piece by piece."""
+
+    @staticmethod
+    def _digest(data):
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    def test_witness_mix_and_gramcheck(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        runs = [
+            (["witness", "3", "10", "--out", "A.json"], "A.json",
+             "f70e210f692e7042c77d8e94095f0511e148224b31d9727c9866bc188c77a971",
+             "3cd2d452877734d3845f97e1d5208d96a0c8c35ca8c3af257b3d3b364683dec0"),
+            (["witness", "4", "5", "--out", "B.json"], "B.json",
+             "ab6de10f84ba408e1eab4265ddd3f095e33d1cae6d88040b3d3fbb1c1f980bac",
+             "279cd782bc9d86cdea1089de9965a620c4f6fcf6abaad3c12e511b5a29e8df6c"),
+            (["mix", "B.json", "M.json"], "M.json",
+             "8944e6d4da55c68877e59b20d07cda20c8202e048fbf285fb9cf9342d3c48527",
+             "c2c4f2c5e420ef4c8e4eed9116720a5b7cb20f18bbeb0ed1887ecee327196c7a"),
+        ]
+        for argv, path, out_digest, file_digest in runs:
+            assert main(argv) == 0, argv
+            assert self._digest(capsys.readouterr().out) == out_digest, argv
+            assert self._digest(Path(path).read_bytes()) == file_digest, argv
+        assert main(["gramcheck", "B.json", "M.json"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+    def test_cached_witness_and_its_hit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["witness", "3", "4", "--cache", "c.jsonl", "--out", "w34.json"]
+        digests = {
+            "w34.json": "40a2900ebce6818553b5523232d6f216b32e256dc8837d1a5ea4e96b44e67a65",
+            "c.jsonl": "1532e842f00cd9a015906d1e604593cb8fb4f491dceee454d6e073fb12fd4e7d",
+        }
+        for attempt in ("computed", "replayed"):
+            assert main(argv) == 0, attempt
+            assert self._digest(capsys.readouterr().out) == (
+                "45ad0aee09103f186e71226d2abb6543613c1aad2a7f4fb4a5193b25b4332843"), attempt
+            assert {p: self._digest(Path(p).read_bytes()) for p in digests} == digests, attempt
+            Path("w34.json").unlink()
+            monkeypatch.setattr(cli, "_execute", None)  # the second run must not compute
+
 
 class TestExitCodes:
     def test_internal_check_maps_to_5(self, monkeypatch, capsys):
@@ -887,6 +998,9 @@ class TestHugeInputs:
         ["witness", HUGE, "3", "--allow-large"],
         ["ik", "--sweep", "3", HUGE, "--allow-large"],
         ["typical", HUGE, "3", "--r-max", "1"],  # no job to guard, only the cap
+        # under the dense ceiling, above the bound on printed bits
+        ["typical", "4000000000", "2", "--r-max", "1"],  # a cap of 4 * 10^9 bits
+        ["bounds", "1000000000", "1000000000"],  # N_d of about 2 * 10^9 bits
     ], ids=" ".join)
     def test_exits_4_with_one_line(self, argv, tmp_path):
         proc = run_cli(argv, tmp_path, timeout=20, preexec_fn=_limit_address_space)

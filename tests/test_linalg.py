@@ -897,6 +897,40 @@ class TestResidueStacks:
             assert S.shape == (len(P), len(rows), 3)
             assert S.tolist() == [[[x % p for x in row] for row in rows] for p in P.tolist()]
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_match_python_remainder(self, data):
+        """Counts on and across the chunk boundary, one limb or 300 and more."""
+        K = data.draw(st.sampled_from([1, 300, 313]), label="limbs")
+        chunk = linalg._CELLS // max(K, linalg._STACK)
+        count = data.draw(st.integers(1, 2).map(lambda q: q * chunk)
+                          .flatmap(lambda c: st.integers(c - 1, c + 1)), label="values")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        values = [rng.choice([0, 1, -1]) * rng.getrandbits(rng.randint(1, 16 * K))
+                  for _ in range(count)]
+        values[rng.randrange(count)] = rng.choice([1, -1]) * (2 ** (16 * K) - 1)  # K limbs
+        rows = [values] if data.draw(st.booleans(), label="one row") else [[x] for x in values]
+        for block, (P, S) in zip(range(2), linalg._residue_stacks(rows)):
+            assert P.tolist() == list(linalg._prime_block(block))
+            assert S.tolist() == [[[x % p for x in row] for row in rows] for p in P.tolist()]
+
+    @pytest.mark.parametrize("count, bits", [(40_000, 16), (2_000, 5000)])
+    def test_scratch_does_not_grow_with_the_matrix(self, count, bits):
+        """The float64 scratch has a fixed size: past the packed limbs (twice,
+        while their bytes are joined) and the stack itself, a block allocates
+        less than 1 MB, where converting every limb at once took 6-16 MB."""
+        rng = random.Random(count)
+        rows = [[rng.choice([1, -1]) * rng.getrandbits(bits)] for _ in range(count)]
+        limb_bytes = 2 * count * -(-bits // 16)
+        tracemalloc.start()
+        try:
+            P, S = next(linalg._residue_stacks(rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.tolist() == [[[x % p for x in row] for row in rows] for p in P.tolist()]
+        assert peak <= 2 * limb_bytes + S.nbytes + 20 * count + (1 << 20)
+
 
 class TestMultimodularKernel:
     """The multimodular kernel returns the fraction-free oracle's basis."""

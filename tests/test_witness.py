@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from soslen import cli, generic, linalg
 from soslen.bounds import binomial, dim_forms
-from soslen.fileio import canonical_json, write_atomic
+from soslen.fileio import canonical_json, canonical_pieces, write_atomic
 from soslen.linalg import RationalMatrix, rank_rational
 from soslen.ring import Form, monomials, multiply, product_index_table
 from soslen.witness import (
@@ -395,14 +395,25 @@ class TestSerialization:
         def crash(src, dst):
             raise OSError("simulated crash before the rename")
 
-        monkeypatch.setattr(os, "replace", crash)
+        def torn(record):  # the pieces of a write that fails halfway through its text
+            pieces = list(canonical_pieces(record))
+            yield from pieces[: len(pieces) // 2]
+            raise RuntimeError("simulated failure while encoding")
+
         path = tmp_path / "old.json"
         for record in (cert.to_dict(), representation_to_dict(basis_representation(cert))):
             path.write_text("old\n")
-            with pytest.raises(OSError):
-                write_atomic(path, canonical_json(record))
+            with pytest.raises(RuntimeError):
+                write_atomic(path, torn(record))
             assert path.read_text() == "old\n"
             assert list(tmp_path.iterdir()) == [path]
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", crash)
+                for content in (canonical_json(record), canonical_pieces(record)):
+                    with pytest.raises(OSError):
+                        write_atomic(path, content)
+                    assert path.read_text() == "old\n"
+                    assert list(tmp_path.iterdir()) == [path]
 
     def test_unknown_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
