@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import __version__, bounds, generic, ring, witness
 from .errors import CertificationError, GenericityError, GuardError, InternalCheckError
-from .fileio import canonical_json, canonical_pieces, write_atomic
-from .primes import DEFAULT_SEED, P1, P2, _validate_modulus
+from .fileio import _write_pieces, canonical_json, canonical_pieces, write_atomic
+from .primes import DEFAULT_SEED, P1, P2, _validate_modulus, sha256
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -58,11 +58,9 @@ class RunConfig(namedtuple(
     def cache_key(self) -> str:
         """sha256 of every field but the two that cannot change the output,
         --parallelism and --cache, and of the version."""
-        import hashlib  # here, not at the top: only a cached run needs a key
-
         payload = {**self._asdict(), "version": __version__}
         del payload["parallelism"], payload["cache"]
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        return sha256(canonical_json(payload).encode()).hexdigest()
 
     def param(self, name, required=True):
         """Merge the positional and flag spellings of a parameter."""
@@ -380,20 +378,32 @@ _HANDLERS = {
 
 
 def _cache_lookup(path: str, key: str) -> dict | None:
-    p = Path(path)
-    if not p.exists():
+    """The last replayable record stored under ``key``, or None.
+
+    The file is read as bytes and searched for the key from its end; only
+    the lines that hold it are kept, and the file's bytes are dropped before
+    those lines are decoded and parsed, so a hit never holds the whole file
+    as text.  A line that is not UTF-8 is skipped like a torn one.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return None
-    hit = None
-    for line in p.read_text().splitlines():
-        if key not in line:
-            continue  # a record with this key spells it out on its line
+    needle, end, lines = key.encode(), len(data), []  # a record spells its key out on its line
+    while end > 0 and (at := data.rfind(needle, 0, end)) >= 0:
+        start = data.rfind(b"\n", 0, at) + 1
+        lines.append(data[start : data.find(b"\n", at) + 1 or len(data)])  # one line: data itself
+        end = start - 1  # the next line that holds the key ends before this one starts
+    del data
+    while lines:  # the last line first, each one dropped as it is decoded
         try:
-            rec = json.loads(line)
+            rec = json.loads(lines.pop(0).decode())
         except (ValueError, RecursionError):
-            continue  # torn by a crash mid-append, or nested too deep: never a hit
+            continue  # torn by a crash mid-append, not UTF-8, or nested too deep: never a hit
         if isinstance(rec, dict) and rec.get("key") == key and _replayable(rec):
-            hit = rec
-    return hit
+            return rec
+    return None
 
 
 def _replayable(rec: dict) -> bool:
@@ -410,18 +420,17 @@ def _replayable(rec: dict) -> bool:
 
 def _cache_store(path: str, record: dict) -> None:
     """Append one record under an exclusive lock, so that concurrent writers
-    neither interleave their records nor both mend one torn tail; closing
-    the file flushes the record and then releases the lock."""
+    neither interleave their records nor both mend one torn tail; the record
+    is written piece by piece, and closing the file flushes it and then
+    releases the lock."""
     import fcntl  # here, not at the top: a cache hit never stores
 
-    line = canonical_json(record).encode()
-    with open(path, "a+b") as fh:
+    with open(path, "a+", encoding="utf-8", newline="") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
-        if fh.seek(0, os.SEEK_END):
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                line = b"\n" + line  # the last record was torn mid-append
-        fh.write(line)
+        size = os.fstat(fh.fileno()).st_size
+        if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+            fh.write("\n")  # the last record was torn mid-append
+        _write_pieces(fh, canonical_pieces(record))
 
 
 # ---------------------------------------------------------------- parser

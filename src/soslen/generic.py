@@ -17,7 +17,6 @@ every modulus, and gated at the prime ranked first, by its rank's RREF.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -28,7 +27,7 @@ import numpy as np
 from .bounds import MAX_BITS, DegreeParams, binomial, dim_forms, lambda_lower
 from .errors import GenericityError, GuardError, InternalCheckError
 from .linalg import _CHUNK, PrimeMatrix, _kernel_from_rref, matmul_mod_p, rank_mod_p, rref_mod_p
-from .primes import DEFAULT_PRIMES, DEFAULT_SEED, SCREEN_PRIME
+from .primes import DEFAULT_PRIMES, DEFAULT_SEED, SCREEN_PRIME, sha256
 from .ring import monomials, product_index_table
 
 __all__ = [
@@ -61,7 +60,7 @@ _SAMPLE_ROUNDS = 5
 
 def derive_seed(base: int, *tags) -> int:
     """Stable 64-bit seed derived from a base seed and hashable tags."""
-    digest = hashlib.sha256(repr((int(base), tags)).encode()).digest()
+    digest = sha256(repr((int(base), tags)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

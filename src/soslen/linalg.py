@@ -387,6 +387,16 @@ def _prime_block(k: int) -> tuple[int, ...]:
     return tuple(block)
 
 
+def _radix_halves(P: np.ndarray, K: int):
+    """The high and low 16-bit halves of 2^(16k) mod p for k < K, built by
+    doubling, as two (primes, K) float64 arrays."""
+    radix, step = np.ones((1, len(P)), dtype=np.int64), 65536 % P
+    while len(radix) < K:
+        radix = np.vstack([radix, radix * step % P])
+        step = step * step % P
+    return tuple(half.T.astype(np.float64) for half in np.divmod(radix[:K], 65536))
+
+
 def _residue_stacks(rows: list[list[int]]):
     """Yield (primes, stack) for successive groups of ``_STACK`` kernel
     primes, the stack being the integer matrix reduced modulo each prime as
@@ -394,27 +404,26 @@ def _residue_stacks(rows: list[list[int]]):
 
     Each |x| is split once into 16-bit limbs, kept as uint16; a group is
     reduced by float64 products of the limbs (negated for x < 0), ``_CELLS``
-    at a time, with the 16-bit halves of the powers 2^(16k) mod p (built by
-    doubling), exact below 2^21 limbs (each term is below 2^32).
+    at a time, with the 16-bit halves of the powers 2^(16k) mod p, exact
+    below 2^21 limbs (each term is below 2^32).
     """
     m, n = len(rows), len(rows[0])
     flat = [x for row in rows for x in row]
     K = max(1, -(-max(abs(x).bit_length() for x in flat) // 16))
-    limbs = np.frombuffer(
-        b"".join(abs(x).to_bytes(2 * K, "little") for x in flat), dtype="<u2"
-    ).reshape(len(flat), K)
+    packed = bytearray(2 * K * len(flat))  # each value's limbs written in place, once
+    for i, x in enumerate(flat):
+        packed[2 * K * i : 2 * K * (i + 1)] = abs(x).to_bytes(2 * K, "little")
+    limbs = np.frombuffer(packed, dtype="<u2").reshape(len(flat), K)
     neg = np.array([x < 0 for x in flat])[:, None]
     chunk = max(1, _CELLS // max(K, _STACK))  # values per product
+    buf = np.empty((min(chunk, len(flat)), K))  # one chunk's limbs as float64, reused
     for block in itertools.count():
         P = np.array(_prime_block(block), dtype=np.int64)
-        radix, step = np.ones((1, len(P)), dtype=np.int64), 65536 % P
-        while len(radix) < K:
-            radix = np.vstack([radix, radix * step % P])
-            step = step * step % P
-        hi_radix, lo_radix = (half.T.astype(np.float64) for half in np.divmod(radix[:K], 65536))
+        hi_radix, lo_radix = _radix_halves(P, K)
         res = np.empty((len(P), len(flat)), dtype=np.int64)
         for j in range(0, len(flat), chunk):
-            L = limbs[j : j + chunk].astype(np.float64)
+            L = buf[: len(flat) - j]
+            L[...] = limbs[j : j + chunk]
             np.negative(L, out=L, where=neg[j : j + chunk])
             hi, lo = hi_radix @ L.T, lo_radix @ L.T
             hi %= P[:, None]

@@ -1,4 +1,5 @@
-"""The default primes and seed, and the check every modulus passes.
+"""The default primes and seed, the check every modulus passes, and the
+sha256 behind derived seeds and cache keys.
 
 Nothing here imports numpy: a seeded command validates its primes and
 builds its cache key from these before it knows whether it will reach
@@ -8,6 +9,16 @@ linear algebra at all.  ``linalg`` and ``generic`` re-export the names.
 from __future__ import annotations
 
 from functools import lru_cache
+
+# The interpreter's own sha256, as random.py takes its sha512: hashlib maps
+# OpenSSL's libcrypto, about 3.6 MB of peak memory for one digest a process.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 P1 = 2147483647  # 2^31 - 1
 P2 = 2147483629  # largest prime below P1; keeps all products inside int64

@@ -550,6 +550,19 @@ class TestVerifierRank:
         assert load_verifier().rank_mod_p(rows, p) == reference_rank_mod_p(rows, p) == 40
 
 
+KEY, OTHER = "ab" * 32, "cd" * 32  # two cache keys
+
+
+def cache_line(key, output):
+    """A replayable cache record's line, as the store writes it."""
+    return canonical_json({"key": key, "output": output, "exit_code": 0, "files": {}}).encode()
+
+
+def not_utf8_line(key):
+    """A record line holding byte 0xff, which is not UTF-8."""
+    return cache_line(key, "\xff").replace(b"\\u00ff", b"\xff")
+
+
 class TestCache:
     def test_byte_identical_without_recomputation(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "cache.jsonl")
@@ -731,6 +744,89 @@ class TestCache:
         writer.join(10)  # closing the holder released the lock
         assert not writer.is_alive()
         assert cli._cache_lookup(str(cache), "k") == record
+
+    @pytest.mark.parametrize("argv, key", [
+        (["bounds", "3", "4"], "fa0eccaa473bc839fc9706b375f8d1ead95f3ff81088a1e0dba5dc1a38b0e572"),
+        (["ik", "--sweep", "4", "3"],
+         "387566d512d463cd2e6e3dce25424e626fb4a9bb3144a7aa68b238db2eef4042"),
+        (["witness", "3", "3", "--out", "F"],
+         "f85cd7717244a8f8b1f58c521ba22316a422aac3e90f803a000c2577d6f63667"),
+    ])
+    def test_cache_key_is_pinned(self, argv, key, monkeypatch):
+        # a changed key would turn every stored record into a miss
+        monkeypatch.delenv("PYLAB_CACHE", raising=False)
+        cfg = cli._config_from_args(cli.build_parser().parse_args([*argv, "--cache", "c.jsonl"]))
+        assert cfg.cache_key() == key
+
+    @pytest.mark.parametrize("content, output", [
+        pytest.param(None, None, id="missing file"),
+        pytest.param(b"", None, id="empty file"),
+        pytest.param(cache_line(KEY, f"{KEY}\n"), f"{KEY}\n", id="key twice on a line"),
+        pytest.param(cache_line(KEY, "1") + cache_line(KEY, "2")
+                     + canonical_json({"key": KEY, "output": "3"}).encode(),
+                     "2", id="last valid of three"),
+        pytest.param(cache_line(KEY, "1") + cache_line(KEY, "2")[:-1], "2",
+                     id="last line without newline"),
+        pytest.param(cache_line(KEY, "1") + not_utf8_line(OTHER), "1",
+                     id="another key's line not UTF-8"),
+        pytest.param(cache_line(KEY, "1") + not_utf8_line(KEY), "1",
+                     id="the key's own line not UTF-8"),
+        pytest.param(cache_line(OTHER, KEY) + cache_line(KEY, "1") + cache_line(OTHER, KEY * 2),
+                     "1", id="key in other records"),
+    ])
+    def test_lookup_returns_the_last_valid_record(self, tmp_path, content, output):
+        cache = tmp_path / "cache.jsonl"
+        if content is not None:
+            cache.write_bytes(content)
+        found = cli._cache_lookup(str(cache), KEY)
+        assert found == (None if output is None else json.loads(cache_line(KEY, output)))
+
+    def test_file_removed_before_the_read_is_a_miss(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(cache_line(KEY, "1"))
+        real_open = open
+
+        def removed_first(path, *args, **kwargs):
+            if str(path) == str(cache):
+                os.remove(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", removed_first)
+        assert cli._cache_lookup(str(cache), KEY) is None
+
+    @pytest.mark.parametrize("own", [False, True], ids=["another key's line", "its own line"])
+    def test_non_utf8_line_is_skipped(self, tmp_path, capsys, monkeypatch, own):
+        monkeypatch.chdir(tmp_path)
+        argv = ["bounds", "3", "4", "--cache", "cache.jsonl"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        key = json.loads(Path("cache.jsonl").read_text())["key"]
+        bad = not_utf8_line(key if own else OTHER)
+        Path("cache.jsonl").write_bytes(bad)
+        assert main(argv) == 0  # recomputed, not a UnicodeDecodeError exiting 4
+        assert capsys.readouterr().out == expected
+        stored = Path("cache.jsonl").read_bytes()
+        assert stored.startswith(bad) and json.loads(stored[len(bad):])["key"] == key
+        monkeypatch.setattr(cli, "_execute", None)  # the stored record now hits
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @given(unit=st.text(min_size=1, max_size=40), extra=st.integers(0, 3),
+           tail=st.sampled_from([b"", b'{"whole":1}\n', b'{"exit_code":0,"key":"torn']))
+    @settings(max_examples=25, deadline=None)
+    def test_store_appends_the_canonical_bytes(self, unit, extra, tail):
+        """A record whose file text is longer than one 65,536-character
+        slice, with escapes in it, is appended as exactly its canonical JSON,
+        after the one newline that mends a torn tail."""
+        text = canonical_json({"form": unit * (fileio._SLICE // len(unit) + extra), "q": '"\\'})
+        record = {"key": KEY, "output": unit, "exit_code": 0, "files": {"w.json": text}}
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = os.path.join(tmp, "cache.jsonl")
+            Path(cache).write_bytes(tail)
+            cli._cache_store(cache, record)
+            mend = b"\n" if tail and not tail.endswith(b"\n") else b""
+            assert Path(cache).read_bytes() == tail + mend + canonical_json(record).encode()
+            assert cli._cache_lookup(cache, KEY) == record
 
 
 class TestAtomicWrites:

@@ -931,6 +931,21 @@ class TestResidueStacks:
         assert S.tolist() == [[[x % p for x in row] for row in rows] for p in P.tolist()]
         assert peak <= 2 * limb_bytes + S.nbytes + 20 * count + (1 << 20)
 
+    def test_limbs_are_packed_once(self):
+        """Each value's limbs are written into one preallocated buffer: on
+        2,000 values of 5,000 bits (1.25 MB of limbs) the first block peaks
+        below 2.0 MB, where joining one bytes object per value read 2.76 MB."""
+        rng = random.Random(35)
+        values = [rng.choice([1, -1]) * (rng.getrandbits(4999) | 1 << 4999) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            P, S = next(linalg._residue_stacks([values]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S[:, 0].tolist() == [[x % p for x in values] for p in P.tolist()]
+        assert peak < 2_000_000
+
 
 class TestMultimodularKernel:
     """The multimodular kernel returns the fraction-free oracle's basis."""

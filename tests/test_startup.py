@@ -8,6 +8,7 @@ they need.  Each test starts its own interpreter, because in this one every
 module is already loaded.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -121,6 +122,33 @@ def test_version_and_cache_hits_skip_bounds_and_ring(argv, cached, tmp_path):
     report = json.loads(proc.stderr.splitlines()[-1])
     assert [m for m in report["new"] if m in EXACT_MODULES] == []
     assert report["lazy"] == {"soslen.bounds": "_LazyModule", "soslen.ring": "_LazyModule"}
+
+
+# numpy < 2 imports numpy.random, and through it secrets, hmac and hashlib, with numpy
+NEEDS_NUMPY_2 = pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                                   reason="numpy < 2 imports numpy.random with numpy")
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                    and importlib.util.find_spec("_sha256") is None,
+                    reason="no built-in sha256: soslen falls back to hashlib")
+@pytest.mark.parametrize("argv, cached", [
+    pytest.param(["typical", "3", "4"], False, marks=NEEDS_NUMPY_2),
+    pytest.param(["ik", "4", "2", "6"], False, marks=NEEDS_NUMPY_2),
+    pytest.param(["witness", "3", "3", "--out", "F"], False, marks=NEEDS_NUMPY_2),
+    (["bounds", "3", "4"], True),
+])
+def test_seeds_and_cache_keys_skip_openssl(argv, cached, tmp_path):
+    """Derived seeds and cache keys hash with the interpreter's own sha256,
+    so no command maps OpenSSL's libcrypto through hashlib."""
+    if cached:
+        argv = [*argv, "--cache", "cache.jsonl"]
+    for attempt in ("miss", "hit") if cached else ("run",):
+        proc = python("-c", MODULES_PROBE, *argv, cwd=tmp_path)
+        assert proc.returncode == 0, (attempt, proc.stderr)
+        new = json.loads(proc.stderr.splitlines()[-1])["new"]
+        assert "_hashlib" not in new and "hashlib" not in new, attempt
+    assert (tmp_path / "cache.jsonl").exists() == cached
 
 
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
